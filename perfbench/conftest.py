@@ -1,0 +1,8 @@
+"""Make fixdiv (from ``src``) and the benchmark modules importable in tests."""
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+for path in (HERE, HERE.parent / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
