@@ -38,7 +38,7 @@ from .report import (
     survivor_csv_row,
 )
 from .rr import RRError, RRPolynomial, preset, validate
-from .search import BudgetExceededError, SearchBounds, verify_classification
+from .search import BudgetExceededError, SearchBounds, WorkerSettingError, verify_classification
 
 
 class ConfigDocumentError(ValueError):
@@ -76,7 +76,7 @@ def parse_config_document(doc: dict) -> Configuration:
         if mobile not in basis:
             raise ConfigDocumentError(f"mobile label {mobile!r} not in basis")
         mobile = basis.index(mobile)
-    if not isinstance(mobile, int) or not 0 <= mobile < len(basis):
+    if not _is_int(mobile) or not 0 <= mobile < len(basis):
         raise ConfigDocumentError(f"field 'mobile': bad index {mobile!r}")
 
     comps = doc["components"]
@@ -95,7 +95,7 @@ def parse_config_document(doc: dict) -> Configuration:
             raise ConfigDocumentError(f"components[{i}]: label {label!r} repeated or mobile")
         order.append(idx)
         mult = comp.get("multiplicity", 1)
-        if not isinstance(mult, int) or mult < 1:
+        if not _is_int(mult) or mult < 1:
             raise ConfigDocumentError(f"components[{i}]: bad multiplicity {mult!r}")
         mults.append(mult)
     if len(order) != len(basis):
@@ -110,7 +110,7 @@ def parse_config_document(doc: dict) -> Configuration:
         raise ConfigDocumentError(f"field 'gram': {exc}") from exc
 
     n = doc["n"]
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ConfigDocumentError(f"field 'n': expected a positive integer, got {n!r}")
     m_primitive = doc.get("m_primitive", "unknown")
     a_ample = doc.get("a_ample", False)
@@ -135,6 +135,11 @@ def parse_config_document(doc: dict) -> Configuration:
     except ConfigurationError as exc:
         raise ConfigDocumentError(str(exc)) from exc
     return cfg
+
+
+def _is_int(value) -> bool:
+    """A JSON integer; a JSON boolean is not one, though bool subclasses int."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _parse_rr(spec, n: int) -> RRPolynomial:
@@ -163,7 +168,9 @@ def cmd_classify(args) -> int:
     try:
         cfg = parse_config_document(doc)
         result = deduction.classify(cfg)
-    except (ConfigDocumentError, SetupError, ConfigurationError) as exc:
+    except (ConfigDocumentError, SetupError, ConfigurationError, LatticeError) as exc:
+        # LatticeError: a table the lattice layer cannot interpret, such as a
+        # half-integral component square in general mode
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report = classification_to_dict(result)
@@ -205,7 +212,7 @@ def cmd_enumerate(args) -> int:
         return 2
     try:
         report, survivors = verify_classification(bounds)
-    except BudgetExceededError as exc:
+    except (BudgetExceededError, WorkerSettingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

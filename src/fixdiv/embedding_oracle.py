@@ -7,6 +7,15 @@ the bounded search finds nothing the verdict falls back to the signature
 criterion, except that an exhausted search is recorded as a conclusive
 negative: principal subtables are exhausted first and memoized, so a table
 containing a non-embeddable subtable is rejected without a fresh search.
+
+Everything is exact and integral.  Linear independence of a candidate witness
+is decided by fraction-free elimination on Python ints; past the first few
+candidates of a search step it is decided for a whole batch at once, by
+fraction-free elimination on the int64 Euclidean Gram of each candidate set,
+whose intermediate minors provably fit in int64 for the default box.  The test
+tables are generated orderly: a table is yielded only when no signed
+permutation of its basis gives a lexicographically smaller table, so each
+class appears once, at its first position, without a set of seen classes.
 """
 from __future__ import annotations
 
@@ -29,6 +38,14 @@ AMBIENT = (
 
 DEFAULT_BOX = 6
 
+#: Hits of a last-pair search step checked one at a time before batching: a
+#: quick table usually finds its witness among them, and one numpy call costs
+#: more than one scalar check.
+SCALAR_HITS = 16
+#: Largest batch of hits given to one vectorised independence test; it caps
+#: the int64 work arrays.
+HIT_BATCH = 4096
+
 
 def _ambient_pairing(u, v) -> int:
     total = 0
@@ -42,36 +59,89 @@ class EmbeddingOracle:
 
     def __init__(self, box: int = DEFAULT_BOX):
         self.box = box
-        rng = np.arange(-box, box + 1, dtype=np.int32)
-        grids = np.meshgrid(*([rng] * 5), indexing="ij")
-        vectors = np.stack([g.ravel() for g in grids], axis=1)
+        side = 2 * box + 1
+        # every box vector, in lexicographic order of its coordinates; int8
+        # holds any box small enough to enumerate, and pairings with int32
+        # Gram rows promote to int32
+        vectors = np.indices((side,) * 5, dtype=np.int8).reshape(5, -1).T - box
         gram = np.array(AMBIENT, dtype=np.int32)
         squares = np.einsum("ij,jk,ik->i", vectors, gram, vectors)
+        # a stable sort keeps each bucket in lexicographic order, the order in
+        # which candidates are tried and so the witness found
+        order = np.argsort(squares, kind="stable")
+        vectors, squares = vectors[order], squares[order]
+        values, starts = np.unique(squares, return_index=True)
+        ends = [*starts[1:], len(squares)]
         self._gram = gram
-        self.by_square: dict[int, np.ndarray] = {}
-        for value in np.unique(squares):
-            self.by_square[int(value)] = vectors[squares == value]
+        self.by_square: dict[int, np.ndarray] = {
+            int(v): vectors[a:b] for v, a, b in zip(values, starts, ends)
+        }
+        # a batched independence test of r vectors is exact while every int64
+        # intermediate of its elimination fits: at most twice the square of
+        # the largest (r-1)-minor of a Gram with entries <= 5 * box**2
+        self._batch_max_rank = max(
+            r for r in range(1, 6) if 2 * (5 * box * box) ** (2 * (r - 1)) < 2**63
+        )
         self._memo: dict[tuple, bool] = {}
 
     # -- exact helpers ----------------------------------------------------------
 
     @staticmethod
     def _independent(chosen: list) -> bool:
-        from fractions import Fraction
-
-        rows = [[Fraction(int(x)) for x in v] for v in chosen]
+        """Whether the vectors are linearly independent: fraction-free
+        Gaussian elimination on Python ints."""
+        rows = [[int(x) for x in v] for v in chosen]
         rank = 0
         for col in range(5):
-            piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+            if rank == len(rows):
+                break
+            piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
             if piv is None:
                 continue
             rows[rank], rows[piv] = rows[piv], rows[rank]
+            pivot = rows[rank]
+            a = pivot[col]
             for r in range(rank + 1, len(rows)):
-                if rows[r][col] != 0:
-                    f = rows[r][col] / rows[rank][col]
-                    rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+                f = rows[r][col]
+                if f:
+                    rows[r] = [a * x - f * y for x, y in zip(rows[r], pivot)]
             rank += 1
-        return rank == len(chosen)
+        return rank == len(rows)
+
+    @staticmethod
+    def _independent_batch(prefix: list, last2: np.ndarray, last: np.ndarray) -> np.ndarray:
+        """Whether prefix + [last2[i], last[i]] is linearly independent, for
+        each i.
+
+        Vectors V are independent iff their Euclidean Gram V V^T is positive
+        definite, i.e. iff every leading principal minor is nonzero.
+        Fraction-free (Bareiss) elimination without pivoting produces exactly
+        those minors as its pivots, so a zero pivot means a leading prefix is
+        already dependent and no pivoting is ever needed.  Callers keep every
+        intermediate within int64 (see ``_batch_max_rank``).
+        """
+        n, r = len(last), len(prefix) + 2
+        vecs = np.empty((n, r, 5), dtype=np.int64)
+        vecs[:, : r - 2] = np.asarray(prefix, dtype=np.int64).reshape(r - 2, 5)
+        vecs[:, r - 2] = last2
+        vecs[:, r - 1] = last
+        m = vecs @ vecs.transpose(0, 2, 1)
+        alive = np.ones(n, dtype=bool)
+        prev = np.ones(n, dtype=np.int64)
+        eye = np.eye(r, dtype=np.int64)
+        for k in range(r):
+            dead = m[:, k, k] == 0
+            if dead.any():
+                alive &= ~dead
+                m[dead] = eye  # so that no later step divides by its zero pivot
+            pivot = m[:, k, k].copy()
+            if k + 1 < r:
+                m[:, k + 1 :, k + 1 :] = (
+                    pivot[:, None, None] * m[:, k + 1 :, k + 1 :]
+                    - m[:, k + 1 :, k : k + 1] * m[:, k : k + 1, k + 1 :]
+                ) // prev[:, None, None]
+            prev = pivot
+        return alive
 
     def _verify(self, rows, chosen) -> bool:
         r = len(rows)
@@ -142,13 +212,25 @@ class EmbeddingOracle:
         target = g[last - 1][last]
         right = (self._gram @ c_last.T).astype(np.int32)
         chunk = max(1, 20_000_000 // max(1, len(c_last)))
+        # hits are tried in np.argwhere order: the first few one at a time,
+        # the rest in batches, each returning its first independent hit; all
+        # of them one at a time when a batch could overflow
+        scalar = SCALAR_HITS if len(g) <= self._batch_max_rank else len(cands) * len(c_last)
         for start in range(0, len(cands), chunk):
             block = cands[start : start + chunk]
             hits = np.argwhere((block @ right) == target)
-            for i1, i2 in hits:
+            head = min(scalar, len(hits))
+            scalar -= head
+            for i1, i2 in hits[:head]:
                 witness = chosen + [block[i1], c_last[i2]]
                 if self._independent(witness):
                     return witness
+            for lo in range(head, len(hits), HIT_BATCH):
+                batch = hits[lo : lo + HIT_BATCH]
+                ok = self._independent_batch(chosen, block[batch[:, 0]], c_last[batch[:, 1]])
+                if ok.any():
+                    i1, i2 = batch[np.argmax(ok)]
+                    return chosen + [block[i1], c_last[i2]]
         return None
 
     @staticmethod
@@ -161,7 +243,6 @@ class EmbeddingOracle:
         restricting the first search vector is lossless.
         """
         a, b = cands[:, 0], cands[:, 1]
-        tail = np.abs(cands[:, 2:])
         # (-2)-part canonical: nonnegative, sorted non-increasing
         tail_ok = (
             (cands[:, 2] >= 0) & (cands[:, 3] >= 0) & (cands[:, 4] >= 0)
@@ -174,7 +255,6 @@ class EmbeddingOracle:
         enc_ng = (-a.astype(np.int64) + 16) * 64 + (-b.astype(np.int64) + 16)
         enc_sn = (-b.astype(np.int64) + 16) * 64 + (-a.astype(np.int64) + 16)
         head_ok = (enc >= enc_sw) & (enc >= enc_ng) & (enc >= enc_sn)
-        del tail
         return cands[tail_ok & head_ok]
 
     # -- memoized verdict with subtable pruning ---------------------------------
@@ -234,19 +314,46 @@ def _signed_perm_key(rows) -> tuple:
 
 def even_grams(rank: int, bound: int):
     """All even Gram tables of the given rank with entries in [-bound, bound],
-    one representative per signed-permutation class."""
+    one representative per signed-permutation class.
+
+    Tables are ordered by (diagonal, upper off-diagonal) tuple, and each class
+    is represented by its smallest table: the one that no signed permutation
+    of the basis makes smaller.
+    """
     diag_vals = [v for v in range(-bound, bound + 1) if v % 2 == 0]
     off_positions = [(i, j) for i in range(rank) for j in range(i + 1, rank)]
-    seen = set()
-    for diag in itertools.product(diag_vals, repeat=rank):
+    slot = {pos: t for t, pos in enumerate(off_positions)}
+    perms = list(itertools.permutations(range(rank)))
+    sign_vectors = list(itertools.product((1, -1), repeat=rank))
+    # a smallest table has a non-decreasing diagonal, and a signed permutation
+    # that moves such a diagonal makes it larger: only those fixing it count
+    for diag in itertools.combinations_with_replacement(diag_vals, rank):
+        images = []
+        for perm in perms:
+            if any(diag[perm[i]] != diag[i] for i in range(rank)):
+                continue
+            for signs in sign_vectors:
+                # image off-diagonal entry t is sign * off[source]
+                images.append([
+                    (signs[i] * signs[j], slot[min(perm[i], perm[j]), max(perm[i], perm[j])])
+                    for i, j in off_positions
+                ])
         for off in itertools.product(range(-bound, bound + 1), repeat=len(off_positions)):
+            if any(_smaller_image(image, off) for image in images):
+                continue
             rows = [[0] * rank for _ in range(rank)]
             for i in range(rank):
                 rows[i][i] = diag[i]
             for (i, j), v in zip(off_positions, off):
                 rows[i][j] = rows[j][i] = v
-            key = _signed_perm_key(rows)
-            if key in seen:
-                continue
-            seen.add(key)
             yield rows
+
+
+def _smaller_image(image, off) -> bool:
+    """Whether the off-diagonal tuple (sign * off[source] for each entry of
+    the image) is lexicographically smaller than off."""
+    for (sign, source), value in zip(image, off):
+        moved = sign * off[source]
+        if moved != value:
+            return moved < value
+    return False

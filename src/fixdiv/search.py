@@ -32,6 +32,10 @@ class BudgetExceededError(RuntimeError):
     """The configured search budget was exhausted; never truncate silently."""
 
 
+class WorkerSettingError(ValueError):
+    """HK_THREADS is set to something other than an integer."""
+
+
 @dataclass(frozen=True)
 class SearchBounds:
     max_components: int
@@ -253,7 +257,10 @@ def _partitions(b: SearchBounds) -> list[tuple[SearchBounds, tuple[Fraction, ...
 def _worker_count(tasks: int) -> int:
     env = os.environ.get("HK_THREADS", "").strip()
     if env:
-        workers = max(1, int(env))
+        try:
+            workers = max(1, int(env))
+        except ValueError:
+            raise WorkerSettingError(f"HK_THREADS must be an integer, got {env!r}") from None
     else:
         workers = os.cpu_count() or 1
     return min(workers, max(1, tasks))

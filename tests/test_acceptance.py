@@ -222,18 +222,25 @@ def test_criterion_6_jiang_positivity(verdict):
             assert p.eval(x) < p.eval(y)
 
 
-def test_criterion_7_index_theorem_agreement(verdict):
+def test_criterion_7_index_theorem_agreement(verdict, capsys):
     with verdict(7, "signature criterion agrees with brute-force embedding"):
         start = time.perf_counter()
         oracle = EmbeddingOracle()
         assert oracle.search([[2, 0], [0, 0]]) is None
         assert oracle.search([[0, 0], [0, 0]]) is None
         for rank in (1, 2, 3):
+            tables = fallbacks = 0
             for rows in even_grams(rank, 4):
                 g = GramLattice.from_rows(rows)
                 fast = lorentzian_embeddable(g)
-                slow, _ = oracle.verdict(g)
+                slow, basis = oracle.verdict(g)
                 assert fast == slow, rows
+                tables += 1
+                fallbacks += basis == "fallback"
+            # a fallback verdict is the criterion's own answer, so it agrees
+            # by construction; report how many tables the search left open
+            with capsys.disabled():
+                print(f"\n[criterion 7] rank {rank}: {tables} tables, {fallbacks} fallbacks", end="")
         assert time.perf_counter() - start < 60.0
 
 

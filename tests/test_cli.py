@@ -63,6 +63,10 @@ def test_parse_document_permutes_mobile_first():
         ({"n": 0}, "positive integer"),
         ({"rr": {"preset": "enriques"}}, "rr"),
         ({"a_ample": "yes"}, "boolean"),
+        # a JSON boolean is not an integer, though Python's bool is an int
+        ({"n": True}, "positive integer"),
+        ({"components": [{"label": "B", "multiplicity": True}]}, "bad multiplicity"),
+        ({"mobile": True}, "bad index"),
     ],
 )
 def test_parse_document_rejections(mutation, message):
@@ -134,6 +138,18 @@ def test_classify_setup_error_exit_two(tmp_path, capsys):
     assert "q(A) > 0" in capsys.readouterr().err
 
 
+def test_classify_boolean_integers_exit_two(tmp_path, capsys):
+    doc = bm_document(n=True, components=[{"label": "B", "multiplicity": True}])
+    assert main(["classify", write(tmp_path, doc)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_classify_half_integral_square_exit_two(tmp_path, capsys):
+    doc = bm_document(gram=[[0, "3/2"], ["3/2", "-3/2"]], mode="general")
+    assert main(["classify", write(tmp_path, doc)]) == 2
+    assert "negative integer square" in capsys.readouterr().err
+
+
 def test_classify_unreadable_input_exit_two(tmp_path, capsys):
     code = main(["classify", str(tmp_path / "missing.json")])
     assert code == 2
@@ -178,6 +194,17 @@ def test_enumerate_budget_exit_two(tmp_path, capsys, monkeypatch):
     ])
     assert code == 2
     assert "budget" in capsys.readouterr().err
+
+
+def test_enumerate_bad_worker_setting_exit_two(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("HK_THREADS", "two")
+    code = main([
+        "enumerate", "--max-components", "1", "--entry-bound", "1",
+        "--square-min", "-2",
+    ])
+    assert code == 2
+    assert "HK_THREADS" in capsys.readouterr().err
 
 
 # -- example and rr --------------------------------------------------------------

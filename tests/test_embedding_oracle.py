@@ -2,11 +2,15 @@
 from __future__ import annotations
 
 import itertools
+import random
 
+import numpy as np
 import pytest
 
+from fixdiv import embedding_oracle
 from fixdiv.embedding_oracle import (
     AMBIENT,
+    DEFAULT_BOX,
     EmbeddingOracle,
     _signed_perm_key,
     even_grams,
@@ -106,3 +110,164 @@ def test_agreement_small_ranks(rank, oracle):
         fast = lorentzian_embeddable(GramLattice.from_rows(rows))
         slow, _ = oracle.verdict(GramLattice.from_rows(rows))
         assert fast == slow, rows
+
+
+# -- exact integer kernels against independent references -------------------------
+
+
+def fraction_rank(rows) -> int:
+    """Rank by Gaussian elimination over the rationals."""
+    from fractions import Fraction
+
+    m = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        piv = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for r in range(len(m)):
+            if r != rank and m[r][col] != 0:
+                f = m[r][col] / m[rank][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def random_vector_sets(seed, count, box=DEFAULT_BOX):
+    """Seeded sets of 1-6 integer vectors in the box, about half of them made
+    dependent by a repeated row, a multiple, a sum or a zero row."""
+    rng = random.Random(seed)
+
+    def vec(limit=box):
+        return [rng.randint(-limit, limit) for _ in range(5)]
+
+    for _ in range(count):
+        rows = [vec() for _ in range(rng.randint(1, 5))]
+        kind = rng.choice(["free", "free", "repeat", "multiple", "sum", "zero", "extremes"])
+        if kind == "repeat":
+            rows.insert(rng.randrange(len(rows) + 1), list(rng.choice(rows)))
+        elif kind == "multiple":
+            base = vec(box // 3)
+            rows[rng.randrange(len(rows))] = base
+            factor = rng.choice((-3, -2, -1, 2, 3))
+            rows.insert(rng.randrange(len(rows) + 1), [factor * x for x in base])
+        elif kind == "sum":
+            a, b = vec(box // 2), vec(box // 2)
+            rows[0], rows[-1] = a, b
+            rows.insert(rng.randrange(len(rows) + 1), [x + y for x, y in zip(a, b)])
+        elif kind == "zero":
+            rows.insert(rng.randrange(len(rows) + 1), [0] * 5)
+        elif kind == "extremes":
+            rows = [[rng.choice((-box, box)) for _ in range(5)] for _ in range(len(rows))]
+        yield rows
+
+
+def test_independent_matches_fraction_rank():
+    dependent = 0
+    for rows in random_vector_sets(seed=20251114, count=3000):
+        want = fraction_rank(rows) == len(rows)
+        assert EmbeddingOracle._independent([tuple(r) for r in rows]) == want, rows
+        dependent += not want
+    assert dependent > 800  # the dependent constructions are exercised
+
+
+def test_independent_batch_matches_fraction_rank():
+    # each batch pairs one prefix with the last two vectors of many sets of its
+    # length, so independent and dependent sets share a batch
+    by_length: dict = {}
+    for rows in random_vector_sets(seed=20251115, count=4000):
+        if len(rows) >= 3:
+            by_length.setdefault(len(rows), []).append(rows)
+    mixed = 0
+    for r, sets in sorted(by_length.items()):
+        tails = sets[:300]
+        last2 = np.array([t[-2] for t in tails], dtype=np.int32)
+        last = np.array([t[-1] for t in tails], dtype=np.int32)
+        for rows in sets[:12]:
+            prefix = [np.array(v, dtype=np.int32) for v in rows[:-2]]
+            got = EmbeddingOracle._independent_batch(prefix, last2, last).tolist()
+            want = [fraction_rank(rows[:-2] + t[-2:]) == r for t in tails]
+            assert got == want, rows[:-2]
+            mixed += 0 < sum(want) < len(want)
+    assert mixed > 10
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+        [[0, -1, 0], [-1, 0, 0], [0, 0, 0]],
+        [[0, 2, 0], [2, -4, 2], [0, 2, -2]],
+    ],
+)
+def test_independent_batch_matches_scalar_on_every_hit(rows, oracle):
+    """Every hit (pair of last two vectors) that _extend_last_pair tests for a
+    rank-3 table, over every first vector, batched against the scalar test."""
+    gram = oracle._gram
+    c1, c2 = oracle.by_square[rows[1][1]], oracle.by_square[rows[2][2]]
+    checked = 0
+    for v0 in EmbeddingOracle._orbit_representatives(oracle.by_square[rows[0][0]]):
+        gv = gram @ v0
+        a = c1[(c1 @ gv) == rows[0][1]]
+        b = c2[(c2 @ gv) == rows[0][2]]
+        hits = np.argwhere((a @ (gram @ b.T)) == rows[1][2])
+        if len(hits) == 0:
+            continue
+        got = EmbeddingOracle._independent_batch([v0], a[hits[:, 0]], b[hits[:, 1]])
+        want = [EmbeddingOracle._independent([v0, a[i], b[j]]) for i, j in hits]
+        assert got.tolist() == want
+        checked += len(hits)
+    assert checked > 200
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+        [[0, -1, 0], [-1, 0, 0], [0, 0, 0]],
+        [[0, 2, 0], [2, -4, 2], [0, 2, -2]],
+        [[-2, 1, 1], [1, -2, 1], [1, 1, -2]],
+        [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, -2, 1], [0, 0, 1, -2]],
+    ],
+)
+def test_batched_search_returns_the_scalar_witness(rows, oracle, monkeypatch):
+    """Checking hits in small batches from the first one finds the same
+    witness as checking every hit one at a time."""
+    monkeypatch.setattr(embedding_oracle, "SCALAR_HITS", 10**12)
+    scalar = oracle.search(rows)
+    monkeypatch.setattr(embedding_oracle, "SCALAR_HITS", 0)
+    monkeypatch.setattr(embedding_oracle, "HIT_BATCH", 7)
+    assert oracle.search(rows) == scalar
+
+
+def old_even_grams(rank, bound):
+    """The generate-and-deduplicate enumeration even_grams replaced."""
+    diag_vals = [v for v in range(-bound, bound + 1) if v % 2 == 0]
+    off_positions = [(i, j) for i in range(rank) for j in range(i + 1, rank)]
+    seen = set()
+    for diag in itertools.product(diag_vals, repeat=rank):
+        for off in itertools.product(range(-bound, bound + 1), repeat=len(off_positions)):
+            rows = [[0] * rank for _ in range(rank)]
+            for i in range(rank):
+                rows[i][i] = diag[i]
+            for (i, j), v in zip(off_positions, off):
+                rows[i][j] = rows[j][i] = v
+            key = _signed_perm_key(rows)
+            if key in seen:
+                continue
+            seen.add(key)
+            yield rows
+
+
+@pytest.mark.parametrize("bound", [2, 3])
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_even_grams_matches_generate_and_deduplicate(rank, bound):
+    assert list(even_grams(rank, bound)) == list(old_even_grams(rank, bound))
+
+
+def test_batched_ranks_keep_int64_exact():
+    # 2 * (5 * box**2) ** (2 * (r - 1)) < 2**63: rank 5 at the default box,
+    # rank 4 from box 7 on, where rank-5 hits are checked one at a time
+    assert EmbeddingOracle(box=DEFAULT_BOX)._batch_max_rank == 5
+    assert EmbeddingOracle(box=7)._batch_max_rank == 4
