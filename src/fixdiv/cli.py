@@ -61,9 +61,17 @@ def parse_config_document(doc: dict) -> Configuration:
         if required not in doc:
             raise ConfigDocumentError(f"missing required field {required!r}")
 
+    gram_rows = doc["gram"]
+    if not isinstance(gram_rows, list) or not all(isinstance(row, list) for row in gram_rows):
+        raise ConfigDocumentError("field 'gram' must be a list of rows")
+    for i, row in enumerate(gram_rows):
+        if len(row) != len(gram_rows):
+            raise ConfigDocumentError(
+                f"field 'gram' must be square: row {i} has {len(row)} entries, expected {len(gram_rows)}"
+            )
     try:
-        rows = [[parse_rational(x) for x in row] for row in doc["gram"]]
-    except (TypeError, ValueError) as exc:
+        rows = [[parse_rational(x) for x in row] for row in gram_rows]
+    except ValueError as exc:
         raise ConfigDocumentError(f"field 'gram': {exc}") from exc
     basis = doc["basis"]
     if not isinstance(basis, list) or not all(isinstance(x, str) for x in basis):

@@ -1,12 +1,18 @@
 """Exact arithmetic on finite-rank quadratic lattices.
 
-Everything here works over exact rationals (``fractions.Fraction``); pairing
-values are restricted to denominators dividing 2.  No floating point anywhere.
+A Gram table holds pairing values with denominators dividing 2.  Each
+``GramLattice`` keeps two views of it: ``entries``, the values as reported
+(``Fraction``), and ``doubled``, the table 2·G as Python ints, built once at
+construction.  Pairings, squares, signatures and the Markman divisibility test
+run on ``doubled`` in integer arithmetic.  A pairing is returned as an ``int``
+when it is integral; only an odd half-value, which general mode alone allows,
+becomes a ``Fraction``.  No floating point anywhere.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Optional, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -74,18 +80,36 @@ def _as_fraction(x: Rational) -> Fraction:
     return f
 
 
+def halve(total: int) -> Rational:
+    """total / 2: an ``int`` when total is even, else a ``Fraction`` half."""
+    return total // 2 if total % 2 == 0 else Fraction(total, 2)
+
+
+def dot(u: Sequence[int], v: Sequence[int]) -> int:
+    """Integer dot product of two equally long rows."""
+    return sum(map(mul, u, v))
+
+
 @dataclass(frozen=True)
 class GramLattice:
     """Symmetric pairing table for a finite set of divisor classes.
 
     ``mode`` is ``even`` (integral pairings, even squares; the default, since
     all known hyperkaehler Picard lattices are even) or ``general`` (pairings
-    with denominator dividing 2).
+    with denominator dividing 2).  ``doubled`` is 2·entries as ints.
     """
 
     rank: int
     entries: tuple[tuple[Fraction, ...], ...]
     mode: str = "even"
+    doubled: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # x.numerator * (2 // x.denominator) is 2x for a denominator of 1 or 2
+        doubled = tuple(
+            tuple(x.numerator * (2 // x.denominator) for x in row) for row in self.entries
+        )
+        object.__setattr__(self, "doubled", doubled)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Rational]], mode: str = "even") -> "GramLattice":
@@ -99,54 +123,59 @@ class GramLattice:
             if len(row) != n:
                 raise LatticeError("pairing table must be square")
             table.append(tuple(_as_fraction(x) for x in row))
+        L = cls(rank=n, entries=tuple(table), mode=mode)
+        D = L.doubled
         for i in range(n):
             for j in range(i + 1, n):
-                if table[i][j] != table[j][i]:
+                if D[i][j] != D[j][i]:
                     raise LatticeError(f"pairing table not symmetric at ({i},{j})")
         if mode == "even":
             for i in range(n):
-                if table[i][i].denominator != 1 or table[i][i] % 2 != 0:
+                if D[i][i] % 4 != 0:
                     raise LatticeError(f"even mode: diagonal entry {table[i][i]} at {i} is not an even integer")
                 for j in range(n):
-                    if table[i][j].denominator != 1:
+                    if D[i][j] % 2 != 0:
                         raise LatticeError(f"even mode: entry {table[i][j]} at ({i},{j}) is not an integer")
-        return cls(rank=n, entries=tuple(table), mode=mode)
+        return L
 
     def row(self, i: int) -> tuple[Fraction, ...]:
         return self.entries[i]
 
 
-def pairing(L: GramLattice, x: DivisorClass, y: DivisorClass) -> Fraction:
+def pairing(L: GramLattice, x: DivisorClass, y: DivisorClass) -> Rational:
     """Exact bilinear pairing x^T . entries . y."""
     if len(x.coords) != L.rank or len(y.coords) != L.rank:
         raise LatticeError(
             f"dimension mismatch: lattice rank {L.rank}, vectors of length "
             f"{len(x.coords)} and {len(y.coords)}"
         )
-    total = Fraction(0)
-    for i, xi in enumerate(x.coords):
-        if xi == 0:
-            continue
-        row = L.entries[i]
-        total += xi * sum(row[j] * yj for j, yj in enumerate(y.coords) if yj != 0)
-    return total
+    yc = y.coords
+    total = 0
+    for xi, row in zip(x.coords, L.doubled):
+        if xi:
+            total += xi * dot(row, yc)
+    return halve(total)
 
 
-def square(L: GramLattice, x: DivisorClass) -> Fraction:
+def square(L: GramLattice, x: DivisorClass) -> Rational:
     """q(x) = pairing(x, x); an integer in even mode."""
     return pairing(L, x, x)
 
 
 def signature(L: GramLattice) -> Signature:
-    """Exact inertia by symmetric Gaussian reduction over the rationals."""
-    return _inertia([list(row) for row in L.entries])
+    """Exact inertia by fraction-free symmetric elimination on 2·G (Bareiss,
+    Math. Comp. 22, 1968); scaling by 2 leaves the inertia unchanged."""
+    return _inertia([list(row) for row in L.doubled])
 
 
-def _inertia(m: list[list[Fraction]]) -> Signature:
-    n = len(m)
-    m = [[Fraction(x) for x in row] for row in m]
+def _inertia(m: list[list[int]]) -> Signature:
+    # After eliminating pivots p_1..p_t, each active entry is det(P)·S, with
+    # P the eliminated principal block and S its Schur complement, so every
+    # entry is a minor of an integer matrix and the division below is exact.
+    # The rational pivot S[p][p] = m[p][p] / prev has the sign of their product.
     pos = neg = zero = 0
-    active = list(range(n))
+    prev = 1
+    active = list(range(len(m)))
     while active:
         p = next((i for i in active if m[i][i] != 0), None)
         if p is None:
@@ -163,26 +192,27 @@ def _inertia(m: list[list[Fraction]]) -> Signature:
                 break
             i, j = pair
             # all active diagonals vanish, so adding basis vector j to i
-            # produces diagonal 2*m[i][j] != 0
+            # produces diagonal 2*m[i][j] != 0; the unimodular congruence
+            # keeps every entry a minor of an integer matrix
             for c in active:
                 m[i][c] += m[j][c]
             for r in active:
                 m[r][i] += m[r][j]
             p = i
         d = m[p][p]
-        if d > 0:
+        if (d > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
         active.remove(p)
-        # Schur complement against the pivot: m[r][c] -= m[r][p]*m[p][c]/d,
-        # the symmetric congruence that zeroes row/column p on the active block
+        # Bareiss step on the active block: m[r][c] <- (d*m[r][c] - m[r][p]*m[p][c]) / prev
+        pivot_row = m[p]
         for r in active:
-            f = m[r][p]
-            if f == 0:
-                continue
+            row = m[r]
+            f = row[p]
             for c in active:
-                m[r][c] -= f * m[p][c] / d
+                row[c] = (d * row[c] - f * pivot_row[c]) // prev
+        prev = d
     return Signature(pos, zero, neg)
 
 
@@ -230,8 +260,8 @@ def colinearity_witness(L: GramLattice, x: DivisorClass, y: DivisorClass) -> Opt
 class MarkmanViolation:
     """Record of a failed divisibility constraint -q(E) | 2 q(E, D)."""
 
-    q_e: Fraction
-    q_ed: Fraction
+    q_e: Rational
+    q_ed: Rational
     rule: str = "markman-divisibility"
 
     @property
@@ -245,14 +275,22 @@ def divisibility_multiplier(qE: Rational, qED: Rational) -> Union[int, MarkmanVi
     Precondition: q(E) is a negative integer (E a prime divisor of negative
     square).  When q(E,D) >= 0 the returned m is a natural number.
     """
-    qE = Fraction(qE)
-    qED = Fraction(qED)
-    if qE.denominator != 1 or qE >= 0:
+    if type(qE) is not int:
+        qE = Fraction(qE)
+        if qE.denominator != 1:
+            raise LatticeError(f"divisibility_multiplier requires a negative integer square, got {qE}")
+        qE = qE.numerator
+    if qE >= 0:
         raise LatticeError(f"divisibility_multiplier requires a negative integer square, got {qE}")
     twice = 2 * qED
-    if twice.denominator != 1 or twice % (-qE) != 0:
+    if type(twice) is not int:
+        twice = Fraction(twice)
+        if twice.denominator != 1:
+            return MarkmanViolation(q_e=qE, q_ed=qED)
+        twice = twice.numerator
+    if twice % qE != 0:
         return MarkmanViolation(q_e=qE, q_ed=qED)
-    return int(twice / (-qE))
+    return twice // -qE
 
 
 def bk_shadow_member(L: GramLattice, components: Iterable[DivisorClass], x: DivisorClass) -> bool:

@@ -26,7 +26,10 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"not a rational: {value!r} has denominator 0") from None
     raise ValueError(f"not a rational: {value!r}")
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterator, Optional
 
 from .deduction import (
@@ -21,10 +20,10 @@ from .deduction import (
     Contradiction,
     PrimeFixed,
     SetupError,
-    chain_gram,
+    chain_mismatch,
     classify,
 )
-from .lattice import GramLattice, lorentzian_embeddable
+from .lattice import GramLattice, Rational, halve, lorentzian_embeddable
 from .rr import RRPolynomial
 
 
@@ -96,50 +95,59 @@ class EnumerationStats:
 # -- value ranges ---------------------------------------------------------------
 
 
-def _component_squares(b: SearchBounds, c: int) -> list[Fraction]:
+# Table entries are ints; only general mode's pairing values include
+# Fraction halves.
+
+
+def _component_squares(b: SearchBounds, c: int) -> list[int]:
     # a nonnegative-square prime component never survives classification when
     # several components are present, and a positive square never survives at
     # all; restricting the range here is pure pruning
     top = 0 if c == 1 else -1
     lo, hi = b.square_min, min(top, b.entry_bound)
     if b.parity_mode == "even":
-        vals = [q for q in range(lo, hi + 1) if q % 2 == 0]
-    else:
-        vals = list(range(lo, hi + 1))
-    return [Fraction(q) for q in vals]
+        return [q for q in range(lo, hi + 1) if q % 2 == 0]
+    return list(range(lo, hi + 1))
 
 
-def _pairing_values(b: SearchBounds) -> list[Fraction]:
+def _pairing_values(b: SearchBounds) -> list[Rational]:
     # distinct effective classes pair nonnegatively
     if b.parity_mode == "even":
-        return [Fraction(v) for v in range(0, b.entry_bound + 1)]
-    return [Fraction(v, 2) for v in range(0, 2 * b.entry_bound + 1)]
+        return list(range(0, b.entry_bound + 1))
+    return [halve(v) for v in range(0, 2 * b.entry_bound + 1)]
 
 
-def _is_multiple_of_half(value: Fraction, q: Fraction) -> bool:
-    # Markman: q < 0, value must be a multiple of -q/2
-    ratio = value / (-q / 2)
-    return ratio.denominator == 1
+def _is_multiple_of_half(value: Rational, q: int) -> bool:
+    # Markman: q < 0, value must be a multiple of -q/2, i.e. -q divides 2 value
+    return int(2 * value) % q == 0
 
 
 # -- per-partition generation ---------------------------------------------------
 
 
-def _canonical_key(rows: list[list[Fraction]], mults: tuple[int, ...]) -> tuple:
-    """Lexicographically minimal (gram, mults) under component permutations."""
-    c = len(mults)
-    best = None
-    for perm in itertools.permutations(range(1, c + 1)):
+def _least_flattening(rows: list[list[Rational]]) -> tuple[tuple, list[tuple[int, ...]]]:
+    """The lexicographically least row-major flattening of ``rows`` under
+    component permutations, with every permutation that attains it."""
+    best, perms = None, []
+    for perm in itertools.permutations(range(1, len(rows))):
         full = (0,) + perm
-        flat = tuple(rows[full[i]][full[j]] for i in range(c + 1) for j in range(c + 1))
-        pm = tuple(mults[p - 1] for p in perm)
-        key = (flat, pm)
-        if best is None or key < best:
-            best = key
-    return best
+        flat = tuple(rows[i][j] for i in full for j in full)
+        if best is None or flat < best:
+            best, perms = flat, [perm]
+        elif flat == best:
+            perms.append(perm)
+    return best, perms
 
 
-def _grams_for_squares(b: SearchBounds, squares: tuple[Fraction, ...], stats: EnumerationStats) -> Iterator[list[list[Fraction]]]:
+def _canonical_key(least: tuple[tuple, list[tuple[int, ...]]], mults: tuple[int, ...]) -> tuple:
+    """Lexicographically minimal (gram, mults) under component permutations,
+    from the table's ``_least_flattening``: only the permutations attaining
+    the least table can attain the least pair."""
+    flat, perms = least
+    return flat, min(tuple(mults[p - 1] for p in perm) for perm in perms)
+
+
+def _grams_for_squares(b: SearchBounds, squares: tuple[int, ...], stats: EnumerationStats) -> Iterator[list[list[Rational]]]:
     """All Gram tables with the given component squares (sorted descending).
 
     q(M) = 0 throughout (the absorption rule forces it), exactly one component
@@ -150,7 +158,7 @@ def _grams_for_squares(b: SearchBounds, squares: tuple[Fraction, ...], stats: En
     c = len(squares)
     pair_vals = _pairing_values(b)
 
-    def markman_ok(value: Fraction, q1: Fraction, q2: Fraction) -> bool:
+    def markman_ok(value: Rational, q1: int, q2: int) -> bool:
         if q1 < 0 and not _is_multiple_of_half(value, q1):
             return False
         if q2 < 0 and not _is_multiple_of_half(value, q2):
@@ -163,7 +171,7 @@ def _grams_for_squares(b: SearchBounds, squares: tuple[Fraction, ...], stats: En
         q_a = squares[anchor]
         positives = [v for v in pair_vals if v > 0 and (q_a >= 0 or _is_multiple_of_half(v, q_a))]
         for v in positives:
-            pm = [Fraction(0)] * c
+            pm = [0] * c
             pm[anchor] = v
             pm_choices.append(pm)
 
@@ -175,7 +183,7 @@ def _grams_for_squares(b: SearchBounds, squares: tuple[Fraction, ...], stats: En
 
     for pm in pm_choices:
         for combo in itertools.product(*offdiag_options):
-            rows = [[Fraction(0)] * (c + 1) for _ in range(c + 1)]
+            rows = [[0] * (c + 1) for _ in range(c + 1)]
             for i in range(c):
                 rows[0][i + 1] = rows[i + 1][0] = pm[i]
                 rows[i + 1][i + 1] = squares[i]
@@ -192,18 +200,17 @@ def _evaluate_partition(args) -> tuple[list[tuple], EnumerationStats]:
     survivors: dict[tuple, tuple] = {}
     mult_vectors = list(itertools.product(range(1, b.max_multiplicity + 1), repeat=c))
     for rows in _grams_for_squares(b, squares, stats):
-        try:
-            gram = GramLattice.from_rows(rows, mode=b.parity_mode)
-        except Exception:
-            continue
+        # a generated table is always valid: a LatticeError here is a bug
+        gram = GramLattice.from_rows(rows, mode=b.parity_mode)
         if not lorentzian_embeddable(gram):
             stats.candidates += len(mult_vectors)
             _check_budget(stats, b)
             continue
+        least = _least_flattening(rows)
         for mults in mult_vectors:
             stats.candidates += 1
             _check_budget(stats, b)
-            key = _canonical_key(rows, mults)
+            key = _canonical_key(least, mults)
             if key in survivors:
                 continue
             cfg = Configuration(
@@ -228,7 +235,7 @@ def _evaluate_partition(args) -> tuple[list[tuple], EnumerationStats]:
     return ordered, stats
 
 
-def _square_of_a(rows: list[list[Fraction]], mults: tuple[int, ...]) -> Fraction:
+def _square_of_a(rows: list[list[Rational]], mults: tuple[int, ...]) -> Rational:
     coeffs = (1,) + mults
     return sum(
         coeffs[i] * coeffs[j] * rows[i][j]
@@ -244,7 +251,7 @@ def _check_budget(stats: EnumerationStats, b: SearchBounds) -> None:
         )
 
 
-def _partitions(b: SearchBounds) -> list[tuple[SearchBounds, tuple[Fraction, ...]]]:
+def _partitions(b: SearchBounds) -> list[tuple[SearchBounds, tuple[int, ...]]]:
     tasks = []
     for c in range(1, b.max_components + 1):
         vals = _component_squares(b, c)
@@ -322,15 +329,7 @@ def verify_classification(b: SearchBounds) -> tuple[VerificationReport, list[Sur
                 counterexamples.append((rec, "prime-fixed shape violated"))
         elif isinstance(res, Chain):
             chain_count += 1
-            target = chain_gram(res.k, int(res.d), int(res.q_last))
-            g = rec.configuration.gram
-            perm = (0,) + res.order
-            match = all(
-                g.entries[perm[a]][perm[bx]] == target.entries[a][bx]
-                for a in range(g.rank)
-                for bx in range(g.rank)
-            )
-            if not match:
+            if chain_mismatch(rec.configuration.gram, res.k, res.d, res.q_last, res.order) is not None:
                 counterexamples.append((rec, "chain gram mismatch"))
         else:
             counterexamples.append((rec, "survivor classified as contradiction"))

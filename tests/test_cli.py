@@ -67,6 +67,11 @@ def test_parse_document_permutes_mobile_first():
         ({"n": True}, "positive integer"),
         ({"components": [{"label": "B", "multiplicity": True}]}, "bad multiplicity"),
         ({"mobile": True}, "bad index"),
+        # malformed tables: non-square, ragged, a zero denominator
+        ({"gram": [[0, 2, 1], [2, -2, 0]]}, "must be square: row 0 has 3 entries"),
+        ({"gram": [[0, 2], [2]]}, "must be square: row 1 has 1 entries"),
+        ({"gram": [[0, "2/0"], ["2/0", -2]]}, "denominator 0"),
+        ({"gram": [0, 2]}, "list of rows"),
     ],
 )
 def test_parse_document_rejections(mutation, message):
@@ -150,6 +155,42 @@ def test_classify_half_integral_square_exit_two(tmp_path, capsys):
     assert "negative integer square" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "gram,message",
+    [
+        ([[0, 2, 1], [2, -2, 0]], "must be square"),
+        ([[0, 2], [2]], "must be square"),
+        ([[0, "2/0"], ["2/0", -2]], "denominator 0"),
+    ],
+)
+def test_classify_malformed_gram_exit_two(tmp_path, capsys, gram, message):
+    assert main(["classify", write(tmp_path, bm_document(gram=gram))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+GENERAL_CHAIN = {
+    "n": 2,
+    "gram": [[0, 2, 0], [2, -4, 2], [0, 2, -1]],
+    "basis": ["M", "B1", "B2"],
+    "components": [
+        {"label": "B1", "multiplicity": 1},
+        {"label": "B2", "multiplicity": 1},
+    ],
+    "m_primitive": "yes",
+    "mode": "general",
+}
+
+
+def test_classify_general_mode_chain_with_odd_terminal_square(tmp_path, capsys):
+    # the chain target is built in the document's own mode, where q_last = -1
+    # is allowed
+    report = tmp_path / "report.json"
+    assert main(["classify", write(tmp_path, GENERAL_CHAIN), "--report", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    assert (doc["kind"], doc["k"], doc["d"], doc["q_last"]) == ("Chain", 1, "-4", "-1")
+
+
 def test_classify_unreadable_input_exit_two(tmp_path, capsys):
     code = main(["classify", str(tmp_path / "missing.json")])
     assert code == 2
@@ -175,6 +216,52 @@ def test_enumerate_writes_deterministic_artifacts(tmp_path, capsys, monkeypatch)
     summary = json.loads((tmp_path / "a.json").read_text())
     assert summary["counterexamples"] == []
     assert summary["survivor_count"] == len(summary["survivors"])
+
+
+def test_enumerate_general_mode_certifies_chains(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("HK_THREADS", "1")
+    code = main([
+        "enumerate", "--general", "--max-components", "2", "--entry-bound", "3",
+        "--square-min", "-4",
+    ])
+    assert code == 0
+    summary = json.loads((tmp_path / "survivors.json").read_text())
+    assert summary["counterexamples"] == []
+    chains = sorted(
+        (s["classification"]["d"], s["classification"]["q_last"])
+        for s in summary["survivors"]
+        if s["classification"]["kind"] == "Chain"
+    )
+    # odd squares and -d/2 halves occur only in general mode
+    assert chains == [("-2", "-1"), ("-3", "-1"), ("-4", "-1"), ("-4", "-2")]
+
+
+# SHA-256 of `fixdiv enumerate` output, recorded before the lattice core moved
+# onto integer arithmetic: the survivors and their certificates must not change
+ENUMERATE_GOLDEN = [
+    (
+        ["--max-components", "3", "--entry-bound", "3", "--square-min", "-6"],
+        "f8712615685ad8b5bca5289b0d6c31d5697c930df9bda76dff9674a6c17b5b05",
+        "907e538cca9e5d71218db8374e8520705c88fb756619e1c8a532a5caae5ee53c",
+    ),
+    (
+        ["--rr-preset", "k3n", "--max-components", "2", "--entry-bound", "4", "--square-min", "-4"],
+        "7ff6e4c46eaa66f57d1d43b4afe2af6dd0a487364b8adc03a9325eed45b5dd64",
+        "45f85b191fe377c81f04be423d74770d46ca1e7ca0115c652fc9344eec8211f3",
+    ),
+]
+
+
+@pytest.mark.parametrize("bounds,csv_sha,json_sha", ENUMERATE_GOLDEN)
+def test_enumerate_output_is_pinned(tmp_path, capsys, monkeypatch, bounds, csv_sha, json_sha):
+    import hashlib
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("HK_THREADS", "1")
+    assert main(["enumerate", *bounds]) == 0
+    assert hashlib.sha256((tmp_path / "survivors.csv").read_bytes()).hexdigest() == csv_sha
+    assert hashlib.sha256((tmp_path / "survivors.json").read_bytes()).hexdigest() == json_sha
 
 
 def test_enumerate_bad_bounds_exit_two(tmp_path, capsys, monkeypatch):

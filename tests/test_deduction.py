@@ -235,6 +235,25 @@ def test_setup_rejects_non_embeddable_gram():
         cfg.check_setup()
 
 
+def test_setup_check_runs_once_per_passing_configuration(monkeypatch):
+    from fixdiv import deduction
+
+    calls = []
+    real = deduction.lorentzian_embeddable
+    monkeypatch.setattr(deduction, "lorentzian_embeddable", lambda g: calls.append(g) or real(g))
+    cfg = chain_configuration(1, -4, -2)
+    cfg.check_setup()
+    cfg.check_setup()
+    assert isinstance(classify(cfg), Chain)
+    assert len(calls) == 1
+    # a failing configuration is not remembered: it raises every time
+    bad = Configuration(n=2, gram=GramLattice.from_rows([[2, 0, 3], [0, 2, 0], [3, 0, -2]]), multiplicities=(1, 1))
+    for _ in range(2):
+        with pytest.raises(SetupError, match="Lorentzian"):
+            bad.check_setup()
+    assert len(calls) == 3
+
+
 def test_configuration_validation_errors():
     g = GramLattice.from_rows([[0, 2], [2, -2]])
     with pytest.raises(ConfigurationError):
@@ -326,6 +345,29 @@ def test_classify_certificate_names_steps():
     stages = [rule for rule, _ in result.certificate]
     for expected in ("markman-divisibility", "lemma1", "key", "step1", "step2-3", "step4", "final-sanity"):
         assert expected in stages
+
+
+def test_chain_gram_general_mode_allows_odd_squares_and_halves():
+    g = chain_gram(1, -3, -1, mode="general")
+    assert g.mode == "general"
+    assert g.entries[0][1] == g.entries[1][2] == Fraction(3, 2)
+    assert chain_gram(1, -2, -1, mode="general").entries[2][2] == -1
+    with pytest.raises(ConfigurationError, match="d < -1"):
+        chain_gram(1, -1, -1, mode="general")
+    with pytest.raises(ConfigurationError, match="q_last >= d/2"):
+        chain_gram(1, -3, -2, mode="general")
+
+
+@pytest.mark.parametrize("k,d,q_last", [(1, -3, -1), (1, -4, -1), (2, -2, -1), (2, -3, -1), (3, -6, -3)])
+def test_classify_general_mode_chain(k, d, q_last):
+    cfg = Configuration(
+        n=2, gram=chain_gram(k, d, q_last, mode="general"), multiplicities=(1,) * (k + 1),
+        m_primitive="yes",
+    )
+    result = classify(cfg)
+    assert isinstance(result, Chain)
+    assert (result.k, result.d, result.q_last) == (k, d, q_last)
+    assert check_2A_mobility(cfg).ok
 
 
 def test_no_chain_with_d_minus_two_in_even_mode():

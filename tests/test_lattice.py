@@ -295,3 +295,136 @@ def test_bk_shadow_ignores_nonnegative_square_components():
     comps = [DivisorClass((0, 1), kind="prime")]
     # the component has square 0, so it imposes no condition
     assert bk_shadow_member(g, comps, DivisorClass((1, -1)))
+
+
+# -- integer kernels against a Fraction reference ----------------------------------
+
+
+def fraction_pairing(rows, x, y):
+    """The Fraction dot product x^T . rows . y that pairing computed before it
+    moved onto the doubled integer table."""
+    total = Fraction(0)
+    for i, xi in enumerate(x):
+        if xi == 0:
+            continue
+        total += xi * sum(Fraction(rows[i][j]) * yj for j, yj in enumerate(y) if yj != 0)
+    return total
+
+
+def fraction_inertia(rows):
+    """Symmetric Gaussian reduction over the rationals, with the isotropic-pair
+    pivot step: the signature algorithm before fraction-free elimination."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pos = neg = zero = 0
+    active = list(range(len(m)))
+    while active:
+        p = next((i for i in active if m[i][i] != 0), None)
+        if p is None:
+            pair = next(
+                ((i, j) for a, i in enumerate(active) for j in active[a + 1:] if m[i][j] != 0), None
+            )
+            if pair is None:
+                zero += len(active)
+                break
+            i, j = pair
+            for c in active:
+                m[i][c] += m[j][c]
+            for r in active:
+                m[r][i] += m[r][j]
+            p = i
+        d = m[p][p]
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+        active.remove(p)
+        for r in active:
+            f = m[r][p]
+            if f != 0:
+                for c in active:
+                    m[r][c] -= f * m[p][c] / d
+    return (pos, zero, neg)
+
+
+def seeded_table(rng, n, mode, shape):
+    """A symmetric table of rank n: ``generic`` draws every entry, ``zero-diag``
+    has an all-zero diagonal, and ``degenerate`` has a nonzero radical."""
+
+    def value(diagonal):
+        if mode == "general":
+            return Fraction(rng.randint(-8, 8), 2)
+        return 2 * rng.randint(-3, 3) if diagonal else rng.randint(-4, 4)
+
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 0 if shape == "zero-diag" else value(True)
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = value(False)
+    if shape == "degenerate" and n >= 2:
+        # the last row and column become those of v = e_0 (+ e_1 when n >= 3),
+        # so e_{n-1} - v pairs to zero with every basis class
+        src = [1] + [1 if (k == 1 and n >= 3) else 0 for k in range(1, n - 1)]
+        rows = [[Fraction(x) for x in row] for row in rows]
+        for c in range(n):
+            rows[n - 1][c] = sum(s * rows[k][c] for k, s in enumerate(src))
+        for r in range(n):
+            rows[r][n - 1] = sum(s * rows[r][k] for k, s in enumerate(src))
+    return rows
+
+
+TABLE_SHAPES = [
+    (seed, mode, shape)
+    for seed in range(4)
+    for mode in ("even", "general")
+    for shape in ("generic", "zero-diag", "degenerate")
+]
+
+
+@pytest.mark.parametrize("seed,mode,shape", TABLE_SHAPES)
+def test_signature_matches_fraction_reference(seed, mode, shape):
+    import random
+
+    rng = random.Random(f"signature/{seed}/{mode}/{shape}")
+    degenerate_seen = 0
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        rows = seeded_table(rng, n, mode, shape)
+        if mode == "even" and any(Fraction(rows[i][i]) % 2 for i in range(n)):
+            continue  # a degenerate even table may leave an odd square
+        g = GramLattice.from_rows(rows, mode=mode)
+        want = fraction_inertia(rows)
+        assert signature(g).as_tuple() == want, rows
+        degenerate_seen += want[1] > 0
+    if shape == "degenerate":
+        assert degenerate_seen > 0
+
+
+@pytest.mark.parametrize("seed,mode,shape", TABLE_SHAPES)
+def test_pairing_matches_fraction_reference(seed, mode, shape):
+    import random
+
+    rng = random.Random(f"pairing/{seed}/{mode}/{shape}")
+    halves = 0
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        rows = seeded_table(rng, n, mode, shape)
+        if mode == "even" and any(Fraction(rows[i][i]) % 2 for i in range(n)):
+            continue
+        g = GramLattice.from_rows(rows, mode=mode)
+        x = DivisorClass(tuple(rng.randint(-3, 3) for _ in range(n)))
+        y = DivisorClass(tuple(rng.randint(-3, 3) for _ in range(n)))
+        got = pairing(g, x, y)
+        want = fraction_pairing(rows, x.coords, y.coords)
+        assert got == want
+        # integral values come back as ints, odd halves as Fractions
+        assert type(got) is (int if want.denominator == 1 else Fraction)
+        assert square(g, x) == fraction_pairing(rows, x.coords, x.coords)
+        halves += want.denominator == 2
+    if mode == "general" and shape == "generic":
+        assert halves > 0
+
+
+def test_doubled_table_is_twice_the_entries():
+    g = GramLattice.from_rows([[0, Fraction(3, 2)], [Fraction(3, 2), -1]], mode="general")
+    assert g.doubled == ((0, 3), (3, -2))
+    assert g.entries[0][1] == Fraction(3, 2)

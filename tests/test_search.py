@@ -1,6 +1,8 @@
 """Bounded exhaustive search: pruning soundness, determinism, certification."""
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from fixdiv.deduction import Chain, PrimeFixed
@@ -134,6 +136,53 @@ def test_rule_set_reflects_rr_presence():
     )
     assert verify_classification(with_rr)[0].rule_set == "lemma-rules+riemann-roch"
     assert verify_classification(SMALL)[0].rule_set == "lemma-rules"
+
+
+# -- generation and canonical keys --------------------------------------------------
+
+
+def test_invalid_generated_table_is_not_dropped(monkeypatch):
+    # a generated table is always valid, so a LatticeError is a bug: it must
+    # surface instead of silently removing a candidate from the count
+    from fixdiv import search
+    from fixdiv.lattice import LatticeError
+
+    class Broken:
+        @staticmethod
+        def from_rows(rows, mode):
+            raise LatticeError("broken table")
+
+    monkeypatch.setenv("HK_THREADS", "1")
+    monkeypatch.setattr(search, "GramLattice", Broken)
+    with pytest.raises(LatticeError, match="broken table"):
+        enumerate_survivors(SMALL)
+
+
+def brute_force_key(rows, mults):
+    """The lexicographically least (table, multiplicities) pair over every
+    component permutation, computed directly."""
+    c = len(mults)
+    keys = []
+    for perm in itertools.permutations(range(1, c + 1)):
+        full = (0,) + perm
+        flat = tuple(rows[full[i]][full[j]] for i in range(c + 1) for j in range(c + 1))
+        keys.append((flat, tuple(mults[p - 1] for p in perm)))
+    return min(keys)
+
+
+@pytest.mark.parametrize("squares", [(-2, -2, -2), (-2, -4, -4), (-1, -1, -3)])
+def test_canonical_key_is_the_least_pair(squares):
+    from fixdiv import search
+
+    mode = "general" if any(q % 2 for q in squares) else "even"
+    bounds = SearchBounds(max_components=3, entry_bound=2, square_min=-4, parity_mode=mode)
+    tables = 0
+    for rows in search._grams_for_squares(bounds, squares, search.EnumerationStats()):
+        least = search._least_flattening(rows)
+        for mults in itertools.product((1, 2), repeat=3):
+            assert search._canonical_key(least, mults) == brute_force_key(rows, mults)
+        tables += 1
+    assert tables > 0
 
 
 # -- budget ----------------------------------------------------------------------
