@@ -8,6 +8,7 @@ use deterministic serialization; stdout is human-oriented.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -307,6 +308,7 @@ def cmd_rr(args) -> int:
             p = RRPolynomial.from_coeffs(len(coeffs) - 1, coeffs)
         else:
             p = preset(args.preset, args.n)
+        q = parse_rational(args.eval) if args.eval is not None else None
     except (RRError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -315,8 +317,7 @@ def cmd_rr(args) -> int:
     print(f"valid: {ok}")
     for v in violations:
         print(f"  violation: {v}")
-    if args.eval is not None:
-        q = parse_rational(args.eval)
+    if q is not None:
         print(f"P({fmt_rational(q)}) = {fmt_rational(p.eval(q))}")
     return 0 if ok else 1
 
@@ -367,9 +368,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

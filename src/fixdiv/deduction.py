@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import gt, mul
 from typing import Iterator, Optional, Sequence, Union
 
 # pairing and bk_shadow_member are unused here since the rules read integer
@@ -50,6 +51,45 @@ class Violation:
     detail: str = ""
 
 
+#: Most sub-divisor verdicts a table's facts remember.  The search tries at
+#: most prod(b_j + 1) of them per table (256 at max_multiplicity 3 with four
+#: components); a document with huge multiplicities sweeps on without
+#: growing the memo.
+LEMMA1_MEMO_LIMIT = 4096
+
+
+class _TableFacts:
+    """What the setup check and the rules read that depends on the Gram table
+    alone.  Built once per table, on the first Configuration over it, and kept
+    in ``gram.cache`` (see ``_table_facts``); every Configuration over the
+    table shares it, whatever its multiplicities and flags.
+
+    ``negative``: basis indices of the components of negative square.
+    ``labels``: the default basis labels.  ``m_in_bk``: whether M is in the BK
+    shadow.  ``pairings_ok``: whether the distinct-primes and Markman checks of
+    ``classify`` passed on this table (False until one has).  ``lemma1``: for
+    each sub-divisor s seen so far, up to LEMMA1_MEMO_LIMIT of them,
+    2 q(M + B_s) when M + B_s is in the BK shadow with positive square, else 0.
+    """
+
+    __slots__ = ("negative", "labels", "m_in_bk", "pairings_ok", "lemma1")
+
+    def __init__(self, g: GramLattice):
+        D = g.doubled
+        self.negative = tuple(j for j in range(1, g.rank) if D[j][j] < 0)
+        self.labels = ("M",) + tuple(f"B{j}" for j in range(1, g.rank))
+        self.m_in_bk = all(D[0][j] >= 0 for j in self.negative)
+        self.pairings_ok = False
+        self.lemma1: dict[tuple[int, ...], int] = {}
+
+
+def _table_facts(g: GramLattice) -> _TableFacts:
+    facts = g.cache.get("deduction")
+    if facts is None:
+        facts = g.cache["deduction"] = _TableFacts(g)
+    return facts
+
+
 @dataclass(frozen=True)
 class Configuration:
     """Candidate decomposition A = M + sum b_j B_j over the basis (M, B_1..B_{k+1}).
@@ -67,20 +107,14 @@ class Configuration:
     labels: tuple[str, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "multiplicities", tuple(int(b) for b in self.multiplicities))
+        object.__setattr__(self, "multiplicities", tuple(map(int, self.multiplicities)))
+        # what depends on the table alone is shared through gram.cache; only
+        # the row of A is this configuration's own (see the integer tables below)
+        facts = _table_facts(self.gram)
         if not self.labels:
-            object.__setattr__(
-                self,
-                "labels",
-                ("M",) + tuple(f"B{j}" for j in range(1, self.gram.rank)),
-            )
-        # integer tables, read by the setup check and the rules (see below)
-        D = self.gram.doubled
-        a = (1,) + self.multiplicities
-        a_row = self._row(a)
-        object.__setattr__(self, "_negative", tuple(j for j in range(1, self.gram.rank) if D[j][j] < 0))
-        object.__setattr__(self, "_a_row", a_row)
-        object.__setattr__(self, "_twice_square_a", dot(a_row, a))
+            object.__setattr__(self, "labels", facts.labels)
+        object.__setattr__(self, "_facts", facts)
+        object.__setattr__(self, "_a_row", self._row((1,) + self.multiplicities))
 
     # -- structural validation -------------------------------------------------
 
@@ -93,7 +127,7 @@ class Configuration:
             raise ConfigurationError(
                 f"expected {self.gram.rank - 1} multiplicities, got {len(self.multiplicities)}"
             )
-        if any(b < 1 for b in self.multiplicities):
+        if min(self.multiplicities) < 1:
             raise ConfigurationError("multiplicities must be positive integers")
         if self.m_primitive not in ("yes", "no", "unknown"):
             raise ConfigurationError(f"m_primitive must be yes/no/unknown, got {self.m_primitive!r}")
@@ -134,18 +168,22 @@ class Configuration:
     # A class x is read through its row of doubled pairings 2 q(x, e_i) against
     # the basis (M, B_1, ...), taken from gram.doubled: the rules compare ints,
     # and a value is halved back only where a certificate reports it.
-    # __post_init__ stores ``_negative``, the basis indices of the components
-    # of negative square, ``_a_row``, the row of A, and ``_twice_square_a``,
-    # 2 q(A).
+    # __post_init__ stores ``_a_row``, the row of A, and ``_facts``, the
+    # table's _TableFacts.
 
     def _row(self, coords: Sequence[int]) -> list[int]:
         """2 q(x, e_i) for every basis class e_i, where x = sum coords_i e_i."""
-        return [dot(row, coords) for row in self.gram.doubled]
+        return [sum(map(mul, row, coords)) for row in self.gram.doubled]
+
+    @property
+    def _twice_square_a(self) -> int:
+        """2 q(A)."""
+        return dot(self._a_row, (1,) + self.multiplicities)
 
     def _in_bk(self, row: Sequence[int]) -> bool:
         """BK shadow membership of the class with this row: it pairs
         nonnegatively with every component of negative square."""
-        return all(row[j] >= 0 for j in self._negative)
+        return all(row[j] >= 0 for j in self._facts.negative)
 
     # -- setup invariants ------------------------------------------------------
 
@@ -162,7 +200,7 @@ class Configuration:
             raise SetupError(f"setup requires q(A) > 0, got {halve(self._twice_square_a)}")
         if not self._in_bk(self._a_row):
             raise SetupError("setup requires A in the BK shadow")
-        if not self._in_bk(self.gram.doubled[0]):
+        if not self._facts.m_in_bk:
             raise SetupError("setup requires M in the BK shadow")
         if not lorentzian_embeddable(self.gram):
             raise SetupError(
@@ -285,16 +323,16 @@ def chain_mismatch(g: GramLattice, k: int, d: int, q_last: int, order: Sequence[
 
 def _sub_divisors(mults: Sequence[int], proper: bool = True) -> Iterator[tuple[int, ...]]:
     """All sub-multiplicity vectors 0 <= s_j <= b_j, optionally excluding s = b."""
-    ranges = [range(b + 1) for b in mults]
-    for s in itertools.product(*ranges):
-        if proper and s == tuple(mults):
+    whole = tuple(mults)
+    for s in itertools.product(*[range(b + 1) for b in whole]):
+        if proper and s == whole:
             continue
         yield s
 
 
 def _effective_sub_divisor(c: Configuration, S: Sequence[int]) -> tuple[int, ...]:
     s = tuple(S)
-    if len(s) != c.num_components or any(si < 0 or si > bi for si, bi in zip(s, c.multiplicities)):
+    if len(s) != c.gram.rank - 1 or min(s, default=0) < 0 or any(map(gt, s, c.multiplicities)):
         raise ConfigurationError(f"sub-divisor {s} is not an effective sub-divisor of B")
     return s
 
@@ -306,16 +344,20 @@ def rule_lemma1(c: Configuration, S: Sequence[int]) -> Optional[Violation]:
     s = _effective_sub_divisor(c, S)
     if s == c.multiplicities:
         return None
-    coords = (1,) + s
-    row = c._row(coords)
-    if c._in_bk(row):
-        q2 = dot(row, coords)
-        if q2 > 0:
-            return Violation(
-                rule="lemma1",
-                witness=s,
-                detail=f"M + B' with B' = {s} is BK with q = {halve(q2)} > 0",
-            )
+    seen = c._facts.lemma1
+    q2 = seen.get(s)
+    if q2 is None:
+        coords = (1,) + s
+        row = c._row(coords)
+        q2 = max(0, dot(row, coords)) if c._in_bk(row) else 0
+        if len(seen) < LEMMA1_MEMO_LIMIT:
+            seen[s] = q2
+    if q2 > 0:
+        return Violation(
+            rule="lemma1",
+            witness=s,
+            detail=f"M + B' with B' = {s} is BK with q = {halve(q2)} > 0",
+        )
     return None
 
 
@@ -424,15 +466,19 @@ def classify(c: Configuration) -> ClassificationResult:
     Returns PrimeFixed for a single nonpositive-square component, Chain when
     the Gram matches a chain instance after renumbering, and Contradiction
     naming the first violated rule otherwise.  With m_primitive unknown, both
-    primitivity branches are evaluated and the certificate records each.
+    primitivity branches are evaluated and the certificate records each; the
+    checks that do not depend on primitivity run once, ahead of both.
     """
     c.check_setup()
-    if c.m_primitive == "yes":
-        return _classify_branch(c, primitive=True)
-    if c.m_primitive == "no":
-        return _classify_branch(c, primitive=False)
-    res_yes = _classify_branch(c, primitive=True)
-    res_no = _classify_branch(c, primitive=False)
+    cert: list[tuple[str, str]] = []
+    stop = _classify_prefix(c, cert)
+    if c.m_primitive != "unknown":
+        return stop or _classify_branch(c, cert, primitive=c.m_primitive == "yes")
+    if stop is not None:
+        res_yes = res_no = stop
+    else:
+        res_yes = _classify_branch(c, list(cert), primitive=True)
+        res_no = _classify_branch(c, cert, primitive=False)
     note = (
         "m-primitive-branches",
         f"primitive: {res_yes.tag}; imprimitive: {res_no.tag}",
@@ -459,33 +505,36 @@ def _contradiction(cert: list[tuple[str, str]], rule: str, witness=None, detail:
     return Contradiction(rule=rule, witness=witness, certificate=tuple(cert))
 
 
-def _classify_branch(c: Configuration, primitive: bool) -> ClassificationResult:
-    cert: list[tuple[str, str]] = []
+def _classify_prefix(c: Configuration, cert: list[tuple[str, str]]) -> Optional[Contradiction]:
+    """The checks that do not depend on primitivity, shared by both branches:
+    the first violation as a Contradiction, or None when all pass."""
     g = c.gram
     D = g.doubled
+    facts = c._facts
 
-    # distinct prime divisors pair nonnegatively; the mobile class is effective
-    # and meets no component in its general member, so its pairings are
-    # nonnegative as well
-    for i in range(g.rank):
-        for j in range(1, g.rank):
-            if i != j and D[i][j] < 0:
-                return _contradiction(
-                    cert, "distinct-primes-pairing",
-                    (i, j),
-                    f"q({c.labels[i]},{c.labels[j]}) = {g.entries[i][j]} < 0 between distinct effective classes",
-                )
+    if not facts.pairings_ok:
+        # distinct prime divisors pair nonnegatively; the mobile class is
+        # effective and meets no component in its general member, so its
+        # pairings are nonnegative as well
+        for i in range(g.rank):
+            for j in range(1, g.rank):
+                if i != j and D[i][j] < 0:
+                    return _contradiction(
+                        cert, "distinct-primes-pairing",
+                        (i, j),
+                        f"q({c.labels[i]},{c.labels[j]}) = {g.entries[i][j]} < 0 between distinct effective classes",
+                    )
 
-    # Markman divisibility against every basis class
-    for j in range(1, g.rank):
-        qj2 = D[j][j]
-        if qj2 < 0:
+        # Markman divisibility against every basis class
+        for j in facts.negative:
+            qj = halve(D[j][j])
             for i in range(g.rank):
                 if i == j:
                     continue
-                m = divisibility_multiplier(halve(qj2), halve(D[i][j]))
+                m = divisibility_multiplier(qj, halve(D[i][j]))
                 if isinstance(m, MarkmanViolation):
                     return _contradiction(cert, "markman-divisibility", (j, i), m.detail)
+        facts.pairings_ok = True
     cert.append(("markman-divisibility", "pass"))
 
     # absorption sweep: no proper sub-divisor may yield a big BK class M + B'
@@ -499,6 +548,14 @@ def _classify_branch(c: Configuration, primitive: bool) -> ClassificationResult:
         # q(M) > 0 is caught by the sweep above (empty sub-divisor); q(M) < 0
         # contradicts M being mobile with positive pairing against A
         return _contradiction(cert, "final-sanity-mobile-square", None, f"q(M) = {g.entries[0][0]} != 0")
+    return None
+
+
+def _classify_branch(c: Configuration, cert: list[tuple[str, str]], primitive: bool) -> ClassificationResult:
+    """The rest of the classification for one primitivity branch, after a
+    passing ``_classify_prefix`` whose entries ``cert`` already holds."""
+    g = c.gram
+    D = g.doubled
 
     if not primitive:
         v = rule_notprimitive(_force_primitivity(c, "no"))

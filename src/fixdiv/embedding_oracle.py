@@ -45,6 +45,9 @@ SCALAR_HITS = 16
 #: Largest batch of hits given to one vectorised independence test; it caps
 #: the int64 work arrays.
 HIT_BATCH = 4096
+#: Entries of one int32 product of candidate rows against the last-pair
+#: pairings, and of its boolean mask: 5 MiB per chunk.
+PRODUCT_ENTRIES = 1 << 20
 
 
 def _ambient_pairing(u, v) -> int:
@@ -211,7 +214,7 @@ class EmbeddingOracle:
             return None
         target = g[last - 1][last]
         right = (self._gram @ c_last.T).astype(np.int32)
-        chunk = max(1, 20_000_000 // max(1, len(c_last)))
+        chunk = max(1, PRODUCT_ENTRIES // len(c_last))
         # hits are tried in np.argwhere order: the first few one at a time,
         # the rest in batches, each returning its first independent hit; all
         # of them one at a time when a batch could overflow

@@ -1,12 +1,18 @@
 """Exact arithmetic on finite-rank quadratic lattices.
 
 A Gram table holds pairing values with denominators dividing 2.  Each
-``GramLattice`` keeps two views of it: ``entries``, the values as reported
-(``Fraction``), and ``doubled``, the table 2·G as Python ints, built once at
-construction.  Pairings, squares, signatures and the Markman divisibility test
-run on ``doubled`` in integer arithmetic.  A pairing is returned as an ``int``
+``GramLattice`` stores ``doubled``, the table 2·G as Python ints, and derives
+``entries``, the values as reported (``Fraction``), only when asked.
+Pairings, squares, signatures and the Markman divisibility test run on
+``doubled`` in integer arithmetic.  A pairing is returned as an ``int``
 when it is integral; only an odd half-value, which general mode alone allows,
 becomes a ``Fraction``.  No floating point anywhere.
+
+What depends on the table alone (its signature here, the rule engine's table
+facts in ``deduction``) is computed on first use and kept in the instance's
+``cache``, so that the many configurations built over one table share it.
+``cache`` takes no part in ``==``, ``hash`` or ``repr``: two tables with equal
+entries are equal whatever their caches hold.
 """
 from __future__ import annotations
 
@@ -69,15 +75,13 @@ class DivisorClass:
             label=f"{self.label}+{other.label}" if self.label and other.label else "",
         )
 
-    def scale(self, m: int) -> "DivisorClass":
-        return DivisorClass(tuple(m * c for c in self.coords), label=self.label)
 
-
-def _as_fraction(x: Rational) -> Fraction:
+def _twice(x: Rational) -> int:
+    """2x as an int, for a pairing value x with denominator dividing 2."""
     f = Fraction(x)
     if f.denominator not in (1, 2):
         raise LatticeError(f"pairing value {f} has denominator not dividing 2")
-    return f
+    return f.numerator * (2 // f.denominator)
 
 
 def halve(total: int) -> Rational:
@@ -96,20 +100,16 @@ class GramLattice:
 
     ``mode`` is ``even`` (integral pairings, even squares; the default, since
     all known hyperkaehler Picard lattices are even) or ``general`` (pairings
-    with denominator dividing 2).  ``doubled`` is 2·entries as ints.
+    with denominator dividing 2).  ``doubled`` is the table 2·G as ints, which
+    every computation reads; ``entries`` is G itself as ``Fraction``s, the
+    view that reports print, built on first use.  ``cache`` holds what is
+    derived from the table alone, keyed by the module that derives it.
     """
 
     rank: int
-    entries: tuple[tuple[Fraction, ...], ...]
+    doubled: tuple[tuple[int, ...], ...]
     mode: str = "even"
-    doubled: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        # x.numerator * (2 // x.denominator) is 2x for a denominator of 1 or 2
-        doubled = tuple(
-            tuple(x.numerator * (2 // x.denominator) for x in row) for row in self.entries
-        )
-        object.__setattr__(self, "doubled", doubled)
+    cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Rational]], mode: str = "even") -> "GramLattice":
@@ -118,28 +118,33 @@ class GramLattice:
         n = len(rows)
         if n == 0:
             raise LatticeError("rank must be positive")
-        table = []
-        for row in rows:
-            if len(row) != n:
-                raise LatticeError("pairing table must be square")
-            table.append(tuple(_as_fraction(x) for x in row))
-        L = cls(rank=n, entries=tuple(table), mode=mode)
-        D = L.doubled
-        for i in range(n):
+        if any(len(row) != n for row in rows):
+            raise LatticeError("pairing table must be square")
+        if all(type(x) is int for row in rows for x in row):
+            # a table of ints, as the search generates, needs no Fraction
+            D = tuple(tuple(2 * x for x in row) for row in rows)
+        else:
+            D = tuple(tuple(map(_twice, row)) for row in rows)
+        for i, row in enumerate(D):
             for j in range(i + 1, n):
-                if D[i][j] != D[j][i]:
+                if row[j] != D[j][i]:
                     raise LatticeError(f"pairing table not symmetric at ({i},{j})")
         if mode == "even":
-            for i in range(n):
-                if D[i][i] % 4 != 0:
-                    raise LatticeError(f"even mode: diagonal entry {table[i][i]} at {i} is not an even integer")
-                for j in range(n):
-                    if D[i][j] % 2 != 0:
-                        raise LatticeError(f"even mode: entry {table[i][j]} at ({i},{j}) is not an integer")
-        return L
+            for i, row in enumerate(D):
+                if row[i] % 4 != 0:
+                    raise LatticeError(f"even mode: diagonal entry {halve(row[i])} at {i} is not an even integer")
+                for j, x in enumerate(row):
+                    if x % 2 != 0:
+                        raise LatticeError(f"even mode: entry {halve(x)} at ({i},{j}) is not an integer")
+        return cls(rank=n, doubled=D, mode=mode)
 
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i]
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The pairing values G as ``Fraction``s."""
+        entries = self.cache.get("entries")
+        if entries is None:
+            entries = self.cache["entries"] = tuple(tuple(Fraction(x, 2) for x in row) for row in self.doubled)
+        return entries
 
 
 def pairing(L: GramLattice, x: DivisorClass, y: DivisorClass) -> Rational:
@@ -164,8 +169,12 @@ def square(L: GramLattice, x: DivisorClass) -> Rational:
 
 def signature(L: GramLattice) -> Signature:
     """Exact inertia by fraction-free symmetric elimination on 2·G (Bareiss,
-    Math. Comp. 22, 1968); scaling by 2 leaves the inertia unchanged."""
-    return _inertia([list(row) for row in L.doubled])
+    Math. Comp. 22, 1968); scaling by 2 leaves the inertia unchanged.
+    Computed once per table and kept in its cache."""
+    sig = L.cache.get("signature")
+    if sig is None:
+        sig = L.cache["signature"] = _inertia([list(row) for row in L.doubled])
+    return sig
 
 
 def _inertia(m: list[list[int]]) -> Signature:

@@ -33,10 +33,6 @@ def parse_rational(value) -> Fraction:
     raise ValueError(f"not a rational: {value!r}")
 
 
-def gram_to_rows(gram: GramLattice) -> list[list[str]]:
-    return [[fmt_rational(x) for x in row] for row in gram.entries]
-
-
 def flatten_gram(gram: GramLattice) -> str:
     """Row-major flattening used in survivor CSV rows."""
     return ";".join(" ".join(fmt_rational(x) for x in row) for row in gram.entries)

@@ -326,6 +326,23 @@ def test_rr_parse_error_exit_two(capsys):
     assert main(["rr", "--coeffs", "2,x"]) == 2
 
 
+@pytest.mark.parametrize("value", ["1/0", "x"])
+def test_rr_bad_eval_exit_two(capsys, value):
+    assert main(["rr", "--preset", "k3", "--eval", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and value in captured.err
+    assert captured.out == ""
+
+
+def test_parser_is_built_once_and_parses_each_call_afresh():
+    from fixdiv import cli
+
+    assert cli._parser() is cli._parser()
+    base = ["enumerate", "--max-components", "1", "--entry-bound", "1", "--square-min", "-2"]
+    assert cli._parser().parse_args(base + ["--general", "--even"]).general
+    assert not cli._parser().parse_args(base).general
+
+
 # -- serialization helpers -------------------------------------------------------
 
 

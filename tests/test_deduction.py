@@ -1,6 +1,7 @@
 """Rule engine and chain classification: rules, steps, mobility, round-trips."""
 from __future__ import annotations
 
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -30,7 +31,9 @@ from fixdiv.deduction import (
     rule_technical,
 )
 from fixdiv.lattice import DivisorClass, GramLattice, pairing, signature, square
+from fixdiv.report import canonical_json, mobility_to_dict
 from fixdiv.rr import PreconditionError, preset
+from fixdiv.search import EnumerationStats, SearchBounds, _grams_for_squares, _partitions
 
 
 def bm_configuration(d: int, m_primitive: str = "no") -> Configuration:
@@ -414,6 +417,82 @@ def test_mobility_requires_classifiable_configuration():
     cfg = chain_configuration(1, -4, -2, m_primitive="no")  # contradicts
     with pytest.raises(ConfigurationError):
         check_2A_mobility(cfg)
+
+
+# -- per-table state -------------------------------------------------------------
+
+
+def _outcome(cfg: Configuration):
+    """classify's result, or the setup error it raises."""
+    try:
+        return classify(cfg)
+    except SetupError as exc:
+        return "SetupError", str(exc)
+
+
+@pytest.mark.parametrize("bounds", [(2, 3, -4), (3, 3, -6)])
+def test_classify_on_a_shared_gram_matches_a_fresh_gram(bounds):
+    b = SearchBounds(*bounds, max_multiplicity=2)
+    candidates = 0
+    for _, squares in _partitions(b):
+        for rows in _grams_for_squares(b, squares, EnumerationStats()):
+            shared = GramLattice.from_rows(rows)
+            for mults in itertools.product((1, 2), repeat=len(squares)):
+                for prim in ("yes", "no", "unknown"):
+                    on_shared = _outcome(Configuration(n=2, gram=shared, multiplicities=mults, m_primitive=prim))
+                    fresh = GramLattice.from_rows(rows)
+                    on_fresh = _outcome(Configuration(n=2, gram=fresh, multiplicities=mults, m_primitive=prim))
+                    # result classes compare tag, rule, witness and certificate
+                    assert on_shared == on_fresh, (rows, mults, prim)
+                    candidates += 1
+    assert candidates > 0
+
+
+@pytest.mark.parametrize(
+    "rows,mults,rule",
+    [
+        ([[0, 3, 0], [3, -4, 2], [0, 2, -2]], (1, 1), "markman-divisibility"),
+        ([[0, -2, -2], [-2, 0, 2], [-2, 2, 2]], (1, 2), "distinct-primes-pairing"),
+    ],
+)
+def test_failed_table_checks_fail_again_on_the_same_table(rows, mults, rule):
+    g = GramLattice.from_rows(rows)
+    results = [
+        classify(Configuration(n=2, gram=g, multiplicities=mults, m_primitive=prim))
+        for prim in ("yes", "unknown", "yes")
+    ]
+    assert all(isinstance(r, Contradiction) and r.rule == rule for r in results)
+    assert results[0] == results[2]
+    assert results[1].certificate[-1] == ("m-primitive-branches", "primitive: Contradiction; imprimitive: Contradiction")
+
+
+def test_lemma1_exempts_the_whole_fixed_part_on_a_shared_table():
+    g = GramLattice.from_rows([[0, 2], [2, -2]])
+    # M + B is in the BK shadow with q = 2 > 0: a proper part of 2B, but all of B
+    assert rule_lemma1(Configuration(n=2, gram=g, multiplicities=(2,)), (1,)).witness == (1,)
+    assert rule_lemma1(Configuration(n=2, gram=g, multiplicities=(1,)), (1,)) is None
+
+
+def test_lemma1_memo_is_bounded(monkeypatch):
+    from fixdiv import deduction
+
+    expected = classify(chain_configuration(2, -4, -2))
+    monkeypatch.setattr(deduction, "LEMMA1_MEMO_LIMIT", 3)
+    cfg = chain_configuration(2, -4, -2)
+    assert classify(cfg) == expected and classify(cfg) == expected
+    assert len(cfg.gram.cache["deduction"].lemma1) == 3
+
+
+def test_mobility_on_chain_fixtures_is_unchanged_by_a_warm_cache():
+    digest = hashlib.sha256()
+    for k, d, q_last in admissible_chain_params((1, 2, 3), (-4, -6, -8)):
+        cfg = chain_configuration(k, d, q_last)
+        for mults in itertools.product((1, 2), repeat=k + 1):
+            for prim in ("yes", "no", "unknown"):
+                _outcome(Configuration(n=2, gram=cfg.gram, multiplicities=mults, m_primitive=prim))
+        digest.update(canonical_json(mobility_to_dict(check_2A_mobility(cfg))).encode())
+    # recorded from code that kept no per-table state
+    assert digest.hexdigest() == "1675be5d757a64a18c005cd1227219fff094e6a429cf4790ec493423ce5947b2"
 
 
 # -- fourfold endgame ------------------------------------------------------------

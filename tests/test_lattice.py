@@ -428,3 +428,29 @@ def test_doubled_table_is_twice_the_entries():
     g = GramLattice.from_rows([[0, Fraction(3, 2)], [Fraction(3, 2), -1]], mode="general")
     assert g.doubled == ((0, 3), (3, -2))
     assert g.entries[0][1] == Fraction(3, 2)
+
+
+def test_equal_tables_are_equal_whatever_their_caches_hold():
+    rows = [[0, 2, 0], [2, -4, 2], [0, 2, -2]]
+    warm = GramLattice.from_rows(rows)
+    signature(warm)
+    warm.entries
+    warm.cache["other"] = object()
+    cold = GramLattice.from_rows([[Fraction(x) for x in row] for row in rows])
+    assert not cold.cache
+    assert warm == cold and hash(warm) == hash(cold) and repr(warm) == repr(cold)
+    assert "cache" not in repr(warm)
+    assert warm != GramLattice.from_rows(rows, mode="general")
+
+
+def test_int_rows_give_the_same_table_as_fraction_rows():
+    for rows, mode in (([[0, 3], [3, -4]], "even"), ([[0, 1], [1, -3]], "general")):
+        from_ints = GramLattice.from_rows(rows, mode=mode)
+        from_fractions = GramLattice.from_rows([[Fraction(x) for x in row] for row in rows], mode=mode)
+        assert from_ints.doubled == from_fractions.doubled
+        assert from_ints.entries == from_fractions.entries
+        assert all(type(x) is Fraction for row in from_ints.entries for x in row)
+    with pytest.raises(LatticeError, match="even mode"):
+        GramLattice.from_rows([[0, 1], [1, -3]])
+    with pytest.raises(LatticeError, match="not symmetric"):
+        GramLattice.from_rows([[0, 1], [2, -2]])
