@@ -28,7 +28,10 @@ def main(argv=None) -> int:
                         help="coordinate box for the brute-force witness search")
     args = parser.parse_args(argv)
 
-    oracle = EmbeddingOracle(box=args.box)
+    try:
+        oracle = EmbeddingOracle(box=args.box)
+    except ValueError as exc:
+        parser.error(str(exc))  # exits 2
     mismatches = 0
     start = time.perf_counter()
     for rank in range(1, args.max_rank + 1):

@@ -8,19 +8,36 @@ criterion, except that an exhausted search is recorded as a conclusive
 negative: principal subtables are exhausted first and memoized, so a table
 containing a non-embeddable subtable is rejected without a fresh search.
 
-Everything is exact and integral.  Linear independence of a candidate witness
-is decided by fraction-free elimination on Python ints; past the first few
-candidates of a search step it is decided for a whole batch at once, by
-fraction-free elimination on the int64 Euclidean Gram of each candidate set,
-whose intermediate minors provably fit in int64 for the default box.  The test
+Everything is exact and integral.  The search tries candidates in the
+lexicographic order of their coordinates, so each table has one witness, and
+the speed-ups below never change it:
+
+* Vectors realising a nondegenerate table are independent: a relation
+  sum c_i v_i = 0 gives G c = 0, so c = 0.  Such a table, decided once per
+  search by a fraction-free determinant, takes its first realising tuple as
+  the witness, with no independence test.
+* On a degenerate table, independence of a candidate witness is decided by
+  fraction-free elimination on Python ints; past the first few candidates of
+  a search step it is decided for a whole batch at once, by fraction-free
+  elimination on the int64 Euclidean Gram of each candidate set, whose
+  intermediate minors provably fit in int64 for the default box.
+* The search never tries the zero vector, which no independent witness
+  contains.  Its view of each square (the nonzero vectors, their int32
+  pairing columns and the orbit representatives) is built on first use and
+  kept on the oracle instance, so a pairing test is one matrix product.
+  ``by_square`` still holds every box vector.
+
+The memo key of a table is its smallest image under signed basis
+permutations, taken over a per-rank table of those transforms.  The test
 tables are generated orderly: a table is yielded only when no signed
 permutation of its basis gives a lexicographically smaller table, so each
 class appears once, at its first position, without a set of seen classes.
 """
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
+from operator import itemgetter, mul
 from typing import Optional
 
 import numpy as np
@@ -37,6 +54,9 @@ AMBIENT = (
 )
 
 DEFAULT_BOX = 6
+#: Largest accepted box: (2 * 10 + 1)**5 = 4.1M box vectors, and the orbit
+#: filter's lexicographic encoding needs coordinates below 16 in magnitude.
+MAX_BOX = 10
 
 #: Hits of a last-pair search step checked one at a time before batching: a
 #: quick table usually finds its witness among them, and one numpy call costs
@@ -61,6 +81,8 @@ class EmbeddingOracle:
     """Bounded exhaustive search for isometric embeddings into U + <-2>^3."""
 
     def __init__(self, box: int = DEFAULT_BOX):
+        if isinstance(box, bool) or not isinstance(box, int) or not 1 <= box <= MAX_BOX:
+            raise ValueError(f"box must be an integer from 1 to {MAX_BOX}, got {box!r}")
         self.box = box
         side = 2 * box + 1
         # every box vector, in lexicographic order of its coordinates; int8
@@ -85,6 +107,7 @@ class EmbeddingOracle:
         self._batch_max_rank = max(
             r for r in range(1, 6) if 2 * (5 * box * box) ** (2 * (r - 1)) < 2**63
         )
+        self._views: dict[int, tuple] = {}
         self._memo: dict[tuple, bool] = {}
 
     # -- exact helpers ----------------------------------------------------------
@@ -156,6 +179,32 @@ class EmbeddingOracle:
 
     # -- search -----------------------------------------------------------------
 
+    def _view(self, square: int) -> tuple:
+        """The search's view of one square, built on first use: its nonzero
+        box vectors, their pairing columns ``AMBIENT @ vectors.T`` and the
+        orbit representatives among them, all int32."""
+        view = self._views.get(square)
+        if view is None:
+            vectors = self.by_square[square]
+            if square == 0:
+                # no independent witness contains the zero vector
+                vectors = vectors[vectors.any(axis=1)]
+            # int32 like the columns, so that each pairing is one same-type
+            # product over contiguous rows
+            vectors = vectors.astype(np.int32)
+            columns = self._gram @ vectors.T
+            view = self._views[square] = (vectors, columns, self._orbit_representatives(vectors))
+        return view
+
+    @staticmethod
+    def _pairing_mask(columns: np.ndarray, chosen: list, g, col: int) -> np.ndarray:
+        """Which vectors, given by their pairing columns, pair with each
+        chosen vector i as g[i][col] says."""
+        mask = np.ones(columns.shape[1], dtype=bool)
+        for i, v in enumerate(chosen):
+            mask &= (v @ columns) == g[i][col]
+        return mask
+
     def search(self, rows) -> Optional[list[tuple[int, ...]]]:
         """An embedding witness (one ambient vector per basis class), or None
         after exhausting the box."""
@@ -167,7 +216,7 @@ class EmbeddingOracle:
         order = sorted(range(r), key=lambda i: counts[i])
         g = [[rows[order[i]][order[j]] for j in range(r)] for i in range(r)]
 
-        witness = self._extend(g, [])
+        witness = self._extend(g, _nondegenerate(g), [])
         if witness is None:
             return None
         # undo the search reordering
@@ -177,51 +226,54 @@ class EmbeddingOracle:
         assert self._verify(rows, restored)
         return restored
 
-    def _extend(self, g, chosen) -> Optional[list]:
+    def _extend(self, g, free: bool, chosen) -> Optional[list]:
+        """The first witness for g that extends ``chosen``; ``free`` says g
+        is nondegenerate, so that every tuple realising it is independent."""
         depth = len(chosen)
         if depth == len(g):
-            return list(chosen) if self._independent(chosen) else None
-        cands = self.by_square[g[depth][depth]]
+            return list(chosen) if free or self._independent(chosen) else None
+        cands, columns, reps = self._view(g[depth][depth])
         if depth == 0:
             # ambient isometries (swap/negate the hyperbolic pair, permute and
             # negate the <-2> classes) let us normalize the first vector
-            cands = self._orbit_representatives(cands)
-        mask = np.ones(len(cands), dtype=bool)
-        for i, v in enumerate(chosen):
-            gv = self._gram @ np.asarray(v, dtype=np.int32)
-            mask &= (cands @ gv) == g[i][depth]
-        cands = cands[mask]
+            cands = reps
+        else:
+            cands = cands[self._pairing_mask(columns, chosen, g, depth)]
         if depth >= 1 and depth == len(g) - 2:
-            return self._extend_last_pair(g, chosen, cands)
+            return self._extend_last_pair(g, free, chosen, cands)
         for v in cands:
-            out = self._extend(g, chosen + [v])
+            out = self._extend(g, free, chosen + [v])
             if out is not None:
                 return out
         return None
 
-    def _extend_last_pair(self, g, chosen, cands) -> Optional[list]:
+    def _extend_last_pair(self, g, free: bool, chosen, cands) -> Optional[list]:
         """Close the search two levels at once with a pairing-matrix test."""
         last = len(g) - 1
-        c_last = self.by_square.get(g[last][last])
-        if c_last is None or len(cands) == 0:
+        if len(cands) == 0:
             return None
-        mask = np.ones(len(c_last), dtype=bool)
-        for i, v in enumerate(chosen):
-            gv = self._gram @ np.asarray(v, dtype=np.int32)
-            mask &= (c_last @ gv) == g[i][last]
-        c_last = c_last[mask]
+        c_last, columns, _ = self._view(g[last][last])
+        mask = self._pairing_mask(columns, chosen, g, last)
+        c_last, right = c_last[mask], columns[:, mask]
         if len(c_last) == 0:
             return None
         target = g[last - 1][last]
-        right = (self._gram @ c_last.T).astype(np.int32)
         chunk = max(1, PRODUCT_ENTRIES // len(c_last))
-        # hits are tried in np.argwhere order: the first few one at a time,
-        # the rest in batches, each returning its first independent hit; all
-        # of them one at a time when a batch could overflow
+        # hits are tried in np.argwhere order.  On a nondegenerate table the
+        # first hit is the witness.  Otherwise the first few are tested one at
+        # a time, the rest in batches, each returning its first independent
+        # hit; all of them one at a time when a batch could overflow
         scalar = SCALAR_HITS if len(g) <= self._batch_max_rank else len(cands) * len(c_last)
         for start in range(0, len(cands), chunk):
             block = cands[start : start + chunk]
-            hits = np.argwhere((block @ right) == target)
+            found = (block @ right) == target
+            if free:
+                first = int(found.argmax())
+                if found.flat[first]:
+                    i1, i2 = divmod(first, len(c_last))
+                    return chosen + [block[i1], c_last[i2]]
+                continue
+            hits = np.argwhere(found)
             head = min(scalar, len(hits))
             scalar -= head
             for i1, i2 in hits[:head]:
@@ -299,20 +351,52 @@ class EmbeddingOracle:
         return True, "fallback"
 
 
-def _signed_perm_key(rows) -> tuple:
-    """Canonical form under signed basis permutations (embedding-invariant)."""
-    r = len(rows)
-    best = None
+def _nondegenerate(g) -> bool:
+    """Whether det g != 0: fraction-free (Bareiss) elimination on Python ints,
+    with a row swap (which only flips the determinant's sign) at a zero
+    pivot."""
+    m = [list(row) for row in g]
+    n = len(m)
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k]), None)
+        if piv is None:
+            return False
+        m[k], m[piv] = m[piv], m[k]
+        pivot = m[k]
+        for row in m[k + 1 :]:
+            f = row[k]
+            for j in range(k + 1, n):
+                row[j] = (pivot[k] * row[j] - f * pivot[j]) // prev
+        prev = pivot[k]
+    return True
+
+
+@functools.cache
+def _signed_perm_transforms(r: int) -> tuple:
+    """For each signed permutation of a rank-r basis (r >= 2), a getter of
+    the permuted flat table and the signs of its entries.  Signs s and -s act
+    alike, so the first sign is fixed at 1."""
+    out = []
     for perm in itertools.permutations(range(r)):
-        for signs in itertools.product((1, -1), repeat=r):
-            flat = tuple(
-                signs[i] * signs[j] * rows[perm[i]][perm[j]]
-                for i in range(r)
-                for j in range(r)
-            )
-            if best is None or flat < best:
-                best = flat
-    return best
+        for tail in itertools.product((1, -1), repeat=r - 1):
+            signs = (1, *tail)
+            out.append((
+                itemgetter(*(perm[i] * r + perm[j] for i in range(r) for j in range(r))),
+                tuple(signs[i] * signs[j] for i in range(r) for j in range(r)),
+            ))
+    return tuple(out)
+
+
+def _signed_perm_key(rows) -> tuple:
+    """Canonical form under signed basis permutations (embedding-invariant):
+    the smallest flat table among the images."""
+    flat = [x for row in rows for x in row]
+    if len(rows) < 2:
+        return tuple(flat)
+    return min(
+        tuple(map(mul, signs, get(flat))) for get, signs in _signed_perm_transforms(len(rows))
+    )
 
 
 def even_grams(rank: int, bound: int):

@@ -1,8 +1,12 @@
 """Brute-force embedding oracle: witnesses, exhaustion, canonicalization."""
 from __future__ import annotations
 
+import hashlib
+import importlib.util
 import itertools
+import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -271,3 +275,160 @@ def test_batched_ranks_keep_int64_exact():
     # rank 4 from box 7 on, where rank-5 hits are checked one at a time
     assert EmbeddingOracle(box=DEFAULT_BOX)._batch_max_rank == 5
     assert EmbeddingOracle(box=7)._batch_max_rank == 4
+
+
+# -- the search kernel: pinned output, shortcuts, views, inputs --------------------
+
+
+def test_oracle_output_is_pinned():
+    """Verdict, basis and witness of one oracle over every even table of ranks
+    1-3 with entries in [-3, 3]; the hash was recorded before the search
+    skipped the zero vector and the independence tests on nondegenerate
+    tables."""
+    oracle = EmbeddingOracle()
+    out = [
+        (rows, oracle.verdict(GramLattice.from_rows(rows)), oracle.search(rows))
+        for rank in (1, 2, 3)
+        for rows in even_grams(rank, 3)
+    ]
+    assert len(out) == 556
+    digest = hashlib.sha256(json.dumps(out, default=int).encode()).hexdigest()
+    assert digest == "b40d96a4d12caa4d57e8667242f416213f32b1d8dc8684ac9d33d8cab2266542"
+
+
+def brute_signed_perm_key(rows):
+    """The smallest flat table over every permutation and every sign vector."""
+    r = len(rows)
+    best = None
+    for perm in itertools.permutations(range(r)):
+        for signs in itertools.product((1, -1), repeat=r):
+            flat = tuple(
+                signs[i] * signs[j] * rows[perm[i]][perm[j]]
+                for i in range(r)
+                for j in range(r)
+            )
+            if best is None or flat < best:
+                best = flat
+    return best
+
+
+def random_tables(seed, count, max_rank=4):
+    """Seeded symmetric integer tables of rank 0 to max_rank: generic ones,
+    degenerate ones (a repeated or negated row and column) and all-zero ones."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        r = rng.randint(0, max_rank)
+        rows = [[0] * r for _ in range(r)]
+        kind = rng.choice(["generic", "generic", "degenerate", "zero"])
+        if kind != "zero":
+            for i in range(r):
+                for j in range(i, r):
+                    rows[i][j] = rows[j][i] = rng.randint(-4, 4)
+        if kind == "degenerate" and r >= 2:
+            a, b = rng.sample(range(r), 2)
+            sign = rng.choice((1, -1))
+            for k in range(r):
+                rows[b][k] = sign * rows[a][k]
+            for k in range(r):
+                rows[k][b] = sign * rows[k][a]
+            rows[b][b] = rows[a][a]
+        yield rows
+
+
+def test_signed_perm_key_matches_brute_force():
+    ranks = set()
+    for rows in random_tables(seed=20261021, count=400):
+        assert _signed_perm_key(rows) == brute_signed_perm_key(rows), rows
+        ranks.add(len(rows))
+    assert ranks == {0, 1, 2, 3, 4}
+
+
+def fraction_det(rows):
+    from fractions import Fraction
+
+    m = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for k in range(len(m)):
+        piv = next((i for i in range(k, len(m)) if m[i][k] != 0), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, len(m)):
+            f = m[i][k] / m[k][k]
+            m[i] = [a - f * b for a, b in zip(m[i], m[k])]
+    return det
+
+
+def test_nondegenerate_matches_fraction_determinant():
+    degenerate = 0
+    for rows in random_tables(seed=20261022, count=600, max_rank=5):
+        want = fraction_det(rows) != 0
+        assert embedding_oracle._nondegenerate(rows) == want, rows
+        degenerate += not want
+    assert degenerate > 100
+
+
+def count_independence_tests(monkeypatch):
+    calls = {"_independent": 0, "_independent_batch": 0}
+    for name in calls:
+        fn = getattr(EmbeddingOracle, name)
+
+        def counted(*args, _fn=fn, _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(EmbeddingOracle, name, staticmethod(counted))
+    return calls
+
+
+def test_nondegenerate_search_runs_no_independence_test(monkeypatch):
+    calls = count_independence_tests(monkeypatch)
+    oracle = EmbeddingOracle()
+    rows = [[0, 2, 0], [2, -4, 2], [0, 2, -2]]  # chain Gram, det 8
+    assert oracle.search(rows) is not None
+    # the one call is the final witness check in _verify
+    assert calls == {"_independent": 1, "_independent_batch": 0}
+
+
+def test_degenerate_search_still_tests_independence(monkeypatch):
+    calls = count_independence_tests(monkeypatch)
+    oracle = EmbeddingOracle()
+    # v1 = v0 realises the table with any v2 orthogonal to v0, dependently
+    assert oracle.search([[-2, -2, 0], [-2, -2, 0], [0, 0, 0]]) is None
+    assert calls["_independent"] > 1 and calls["_independent_batch"] > 0
+
+
+def test_search_view_drops_zero_but_by_square_keeps_it(oracle):
+    assert (oracle.by_square[0] == 0).all(axis=1).sum() == 1
+    vectors, columns, reps = oracle._view(0)
+    assert vectors.any(axis=1).all() and reps.any(axis=1).all()
+    assert len(vectors) == len(oracle.by_square[0]) - 1
+    assert (columns == oracle._gram @ vectors.T).all()
+    assert oracle._view(-2)[0].shape == oracle.by_square[-2].shape
+
+
+@pytest.mark.parametrize("box", [-1, 0, 11, True, 6.0, "6", None])
+def test_bad_box_is_rejected(box):
+    with pytest.raises(ValueError, match="box must be an integer from 1 to 10"):
+        EmbeddingOracle(box=box)
+
+
+def test_smallest_box_searches():
+    oracle = EmbeddingOracle(box=1)
+    assert oracle.search([[0, 1], [1, -2]]) == [(1, 0, 0, 0, 0), (-1, 1, 0, 0, 0)]
+
+
+def test_compare_script_rejects_a_bad_box(capsys):
+    path = Path(__file__).resolve().parent.parent / "scripts" / "compare_embedding_oracle.py"
+    spec = importlib.util.spec_from_file_location("compare_embedding_oracle", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    with pytest.raises(SystemExit) as exc:
+        script.main(["--box", "-1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "box must be an integer from 1 to 10, got -1" in captured.err
