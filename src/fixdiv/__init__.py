@@ -9,7 +9,6 @@ from .lattice import (
     MarkmanViolation,
     Signature,
     bk_shadow_member,
-    colinearity_witness,
     divisibility_multiplier,
     lorentzian_embeddable,
     pairing,
@@ -21,8 +20,6 @@ from .rr import (
     PreconditionError,
     RRPolynomial,
     h0_big_bk,
-    h0_equal_iff_q_equal,
-    hopf_lower_bound,
     lagrangian_h0,
     preset,
     validate,

@@ -340,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--square-min", type=int, required=True)
     p.add_argument("--max-multiplicity", type=int, default=2)
     p.add_argument("--n", type=int, default=2)
-    p.add_argument("--even", action="store_true", default=True, help="even lattice mode (default)")
     p.add_argument("--general", action="store_true", help="allow half-integral pairings")
     p.add_argument("--rr-preset", help="apply Riemann-Roch constraints from this preset")
     p.add_argument("--budget", type=int, default=20_000_000)

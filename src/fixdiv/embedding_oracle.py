@@ -16,11 +16,12 @@ the speed-ups below never change it:
   sum c_i v_i = 0 gives G c = 0, so c = 0.  Such a table, decided once per
   search by a fraction-free determinant, takes its first realising tuple as
   the witness, with no independence test.
-* On a degenerate table, independence of a candidate witness is decided by
-  fraction-free elimination on Python ints; past the first few candidates of
-  a search step it is decided for a whole batch at once, by fraction-free
-  elimination on the int64 Euclidean Gram of each candidate set, whose
-  intermediate minors provably fit in int64 for the default box.
+* On a degenerate table, the last two vectors of a candidate witness are
+  found by one pairing-matrix product, and each hit (a, b) is tested
+  exactly by one more: the (k+2)-minors of the k chosen vectors plus a, b
+  are the 2x2 minors of a, b times an integer matrix W built once from
+  the k chosen vectors (Laplace expansion along the last two rows), so
+  the hit is independent iff that product is nonzero.
 * The search never tries the zero vector, which no independent witness
   contains.  Its view of each square (the nonzero vectors, their int32
   pairing columns and the orbit representatives) is built on first use and
@@ -58,15 +59,9 @@ DEFAULT_BOX = 6
 #: filter's lexicographic encoding needs coordinates below 16 in magnitude.
 MAX_BOX = 10
 
-#: Hits of a last-pair search step checked one at a time before batching: a
-#: quick table usually finds its witness among them, and one numpy call costs
-#: more than one scalar check.
-SCALAR_HITS = 16
-#: Largest batch of hits given to one vectorised independence test; it caps
-#: the int64 work arrays.
-HIT_BATCH = 4096
 #: Entries of one int32 product of candidate rows against the last-pair
-#: pairings, and of its boolean mask: 5 MiB per chunk.
+#: pairings, and of its boolean mask (5 MiB per chunk), and of the int64
+#: minors of the hits tested at once.
 PRODUCT_ENTRIES = 1 << 20
 
 
@@ -101,12 +96,6 @@ class EmbeddingOracle:
         self.by_square: dict[int, np.ndarray] = {
             int(v): vectors[a:b] for v, a, b in zip(values, starts, ends)
         }
-        # a batched independence test of r vectors is exact while every int64
-        # intermediate of its elimination fits: at most twice the square of
-        # the largest (r-1)-minor of a Gram with entries <= 5 * box**2
-        self._batch_max_rank = max(
-            r for r in range(1, 6) if 2 * (5 * box * box) ** (2 * (r - 1)) < 2**63
-        )
         self._views: dict[int, tuple] = {}
         self._memo: dict[tuple, bool] = {}
 
@@ -133,41 +122,6 @@ class EmbeddingOracle:
                     rows[r] = [a * x - f * y for x, y in zip(rows[r], pivot)]
             rank += 1
         return rank == len(rows)
-
-    @staticmethod
-    def _independent_batch(prefix: list, last2: np.ndarray, last: np.ndarray) -> np.ndarray:
-        """Whether prefix + [last2[i], last[i]] is linearly independent, for
-        each i.
-
-        Vectors V are independent iff their Euclidean Gram V V^T is positive
-        definite, i.e. iff every leading principal minor is nonzero.
-        Fraction-free (Bareiss) elimination without pivoting produces exactly
-        those minors as its pivots, so a zero pivot means a leading prefix is
-        already dependent and no pivoting is ever needed.  Callers keep every
-        intermediate within int64 (see ``_batch_max_rank``).
-        """
-        n, r = len(last), len(prefix) + 2
-        vecs = np.empty((n, r, 5), dtype=np.int64)
-        vecs[:, : r - 2] = np.asarray(prefix, dtype=np.int64).reshape(r - 2, 5)
-        vecs[:, r - 2] = last2
-        vecs[:, r - 1] = last
-        m = vecs @ vecs.transpose(0, 2, 1)
-        alive = np.ones(n, dtype=bool)
-        prev = np.ones(n, dtype=np.int64)
-        eye = np.eye(r, dtype=np.int64)
-        for k in range(r):
-            dead = m[:, k, k] == 0
-            if dead.any():
-                alive &= ~dead
-                m[dead] = eye  # so that no later step divides by its zero pivot
-            pivot = m[:, k, k].copy()
-            if k + 1 < r:
-                m[:, k + 1 :, k + 1 :] = (
-                    pivot[:, None, None] * m[:, k + 1 :, k + 1 :]
-                    - m[:, k + 1 :, k : k + 1] * m[:, k : k + 1, k + 1 :]
-                ) // prev[:, None, None]
-            prev = pivot
-        return alive
 
     def _verify(self, rows, chosen) -> bool:
         r = len(rows)
@@ -216,14 +170,15 @@ class EmbeddingOracle:
         order = sorted(range(r), key=lambda i: counts[i])
         g = [[rows[order[i]][order[j]] for j in range(r)] for i in range(r)]
 
-        witness = self._extend(g, _nondegenerate(g), [])
+        witness = self._extend(g, _det(g) != 0, [])
         if witness is None:
             return None
         # undo the search reordering
         restored: list = [None] * r
         for pos, idx in enumerate(order):
             restored[idx] = tuple(int(x) for x in witness[pos])
-        assert self._verify(rows, restored)
+        if not self._verify(rows, restored):
+            raise RuntimeError(f"search witness {restored} does not realise the table {rows}")
         return restored
 
     def _extend(self, g, free: bool, chosen) -> Optional[list]:
@@ -260,10 +215,11 @@ class EmbeddingOracle:
         target = g[last - 1][last]
         chunk = max(1, PRODUCT_ENTRIES // len(c_last))
         # hits are tried in np.argwhere order.  On a nondegenerate table the
-        # first hit is the witness.  Otherwise the first few are tested one at
-        # a time, the rest in batches, each returning its first independent
-        # hit; all of them one at a time when a batch could overflow
-        scalar = SCALAR_HITS if len(g) <= self._batch_max_rank else len(cands) * len(c_last)
+        # first hit is the witness; otherwise it is the first hit whose 2x2
+        # minors times W are not all zero.  Hits are tested in slices whose
+        # 10 minors per hit fill at most PRODUCT_ENTRIES int64 entries.
+        w = None if free else _pair_minor_matrix(chosen)
+        step = PRODUCT_ENTRIES // 10
         for start in range(0, len(cands), chunk):
             block = cands[start : start + chunk]
             found = (block @ right) == target
@@ -274,17 +230,11 @@ class EmbeddingOracle:
                     return chosen + [block[i1], c_last[i2]]
                 continue
             hits = np.argwhere(found)
-            head = min(scalar, len(hits))
-            scalar -= head
-            for i1, i2 in hits[:head]:
-                witness = chosen + [block[i1], c_last[i2]]
-                if self._independent(witness):
-                    return witness
-            for lo in range(head, len(hits), HIT_BATCH):
-                batch = hits[lo : lo + HIT_BATCH]
-                ok = self._independent_batch(chosen, block[batch[:, 0]], c_last[batch[:, 1]])
+            for lo in range(0, len(hits), step):
+                part = hits[lo : lo + step]
+                ok = _pairs_independent(w, block[part[:, 0]], c_last[part[:, 1]])
                 if ok.any():
-                    i1, i2 = batch[np.argmax(ok)]
+                    i1, i2 = part[ok.argmax()]
                     return chosen + [block[i1], c_last[i2]]
         return None
 
@@ -351,25 +301,68 @@ class EmbeddingOracle:
         return True, "fallback"
 
 
-def _nondegenerate(g) -> bool:
-    """Whether det g != 0: fraction-free (Bareiss) elimination on Python ints,
-    with a row swap (which only flips the determinant's sign) at a zero
-    pivot."""
+def _det(g) -> int:
+    """The determinant of a square table: fraction-free (Bareiss) elimination
+    on Python ints, with a row swap, which flips the sign, at a zero pivot."""
     m = [list(row) for row in g]
     n = len(m)
-    prev = 1
+    sign, prev = 1, 1
     for k in range(n):
         piv = next((i for i in range(k, n) if m[i][k]), None)
         if piv is None:
-            return False
-        m[k], m[piv] = m[piv], m[k]
+            return 0
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
         pivot = m[k]
         for row in m[k + 1 :]:
             f = row[k]
             for j in range(k + 1, n):
                 row[j] = (pivot[k] * row[j] - f * pivot[j]) // prev
         prev = pivot[k]
-    return True
+    return sign * prev
+
+
+@functools.cache
+def _laplace_terms(k: int) -> tuple:
+    """The Laplace expansion of each (k+2)-column minor of k vectors plus a
+    pair (a, b) in Z^5 along the pair's rows.  Returns the column k-subsets
+    of the k vectors, the number of minors, and one (pair, minor, subset,
+    sign) row per term: minor s is the sum of sign * (the k-minor on that
+    subset) * (a_i b_j - a_j b_i), with (i, j) the pair-th of the column
+    pairs i < j in ``np.triu_indices(5, 1)`` order."""
+    subsets = list(itertools.combinations(range(5), k))
+    pairs = list(itertools.combinations(range(5), 2))
+    minors = list(itertools.combinations(range(5), k + 2))
+    terms = []
+    for s, cols in enumerate(minors):
+        for p1, p2 in itertools.combinations(range(k + 2), 2):
+            rest = tuple(c for t, c in enumerate(cols) if t not in (p1, p2))
+            sign = 1 if (p1 + p2) % 2 else -1
+            terms.append((pairs.index((cols[p1], cols[p2])), s, subsets.index(rest), sign))
+    return subsets, len(minors), np.array(terms, dtype=np.int64).reshape(-1, 4).T
+
+
+def _pair_minor_matrix(prefix) -> np.ndarray:
+    """The int64 matrix W, one row per column pair and one column per
+    (k+2)-minor, such that the (k+2)-minors of the k prefix vectors plus
+    a pair (a, b) are the 2x2 minors of (a, b) times W."""
+    rows = [[int(x) for x in v] for v in prefix]
+    subsets, count, (pair, minor, subset, sign) = _laplace_terms(len(rows))
+    dets = np.array([_det([[row[c] for c in cols] for row in rows]) for cols in subsets], dtype=np.int64)
+    w = np.zeros((10, count), dtype=np.int64)
+    w[pair, minor] = sign * dets[subset]
+    return w
+
+
+def _pairs_independent(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Whether prefix + [a[i], b[i]] is linearly independent, for each i,
+    given ``w = _pair_minor_matrix(prefix)``: whether some (k+2)-minor is
+    nonzero.  Exact in int64: at ``MAX_BOX`` a 2x2 minor is at most 200 and
+    a k-minor (k <= 3) at most 6000 in magnitude, and a minor sums 10 terms."""
+    i, j = np.triu_indices(5, 1)
+    a, b = a.astype(np.int64), b.astype(np.int64)
+    return ((a[:, i] * b[:, j] - a[:, j] * b[:, i]) @ w).any(axis=1)
 
 
 @functools.cache

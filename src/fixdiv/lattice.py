@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 Rational = Union[int, Fraction]
 
@@ -238,31 +238,6 @@ def lorentzian_embeddable(L: GramLattice) -> bool:
     if s.n_plus == 1:
         return s.n_zero == 0
     return s.n_plus == 0 and s.n_zero <= 1
-
-
-def colinearity_witness(L: GramLattice, x: DivisorClass, y: DivisorClass) -> Optional[Fraction]:
-    """For a doubly-isotropic orthogonal pair, the rational lambda with y = lambda*x.
-
-    Precondition: q(x) = q(y) = q(x, y) = 0.  Returns ``None`` when the classes
-    are linearly independent; in a Lorentzian Picard lattice such a pair cannot
-    exist, so absence of a witness flags an inadmissible configuration.
-    """
-    if square(L, x) != 0 or square(L, y) != 0 or pairing(L, x, y) != 0:
-        raise LatticeError("colinearity_witness requires q(x) = q(y) = q(x,y) = 0")
-    if x.is_zero:
-        return None
-    lam = None
-    for xi, yi in zip(x.coords, y.coords):
-        if xi == 0:
-            if yi != 0:
-                return None
-            continue
-        r = Fraction(yi, xi)
-        if lam is None:
-            lam = r
-        elif lam != r:
-            return None
-    return lam if lam is not None else Fraction(0)
 
 
 @dataclass(frozen=True)

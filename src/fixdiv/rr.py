@@ -83,28 +83,6 @@ def h0_big_bk(P: RRPolynomial, q: Rational) -> int:
     return int(value)
 
 
-def h0_equal_iff_q_equal(P: RRPolynomial, q1: Rational, q2: Rational) -> bool:
-    """Whether two big BK classes have equal section counts; equals q1 == q2."""
-    q1 = Fraction(q1)
-    q2 = Fraction(q2)
-    if q1 <= 0 or q2 <= 0:
-        raise PreconditionError("h0_equal_iff_q_equal requires positive squares")
-    by_eval = P.eval(q1) == P.eval(q2)
-    by_monotonicity = q1 == q2
-    if by_eval != by_monotonicity:
-        raise InconsistentInputError(
-            f"P is not strictly increasing: P({q1}) = P({q2}) but {q1} != {q2}"
-        )
-    return by_eval
-
-
-def hopf_lower_bound(h0M: int) -> int:
-    """Smallest h^0(2M) compatible with h^0(2M) > 2 h^0(M) - 2."""
-    if h0M < 2:
-        raise PreconditionError(f"hopf_lower_bound requires h0 >= 2, got {h0M}")
-    return 2 * h0M - 1
-
-
 def lagrangian_h0(g: int, d: int) -> int:
     """Pullback section count binomial(d+g, g) from a projective g-space base."""
     return math.comb(d + g, g)

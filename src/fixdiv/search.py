@@ -223,7 +223,7 @@ def _evaluate_partition(args) -> tuple[list[tuple], EnumerationStats]:
             except SetupError:
                 # setup failures are non-candidates, not rule rejections
                 continue
-            if b.rr is not None and b.rr.eval(_square_of_a(rows, mults)).denominator != 1:
+            if b.rr is not None and b.rr.eval(halve(cfg._twice_square_a)).denominator != 1:
                 stats.note_rejection("rr-nonintegral", high_mult)
                 continue
             result = classify(cfg)
@@ -233,15 +233,6 @@ def _evaluate_partition(args) -> tuple[list[tuple], EnumerationStats]:
             survivors[key] = (key, cfg, result)
     ordered = sorted(survivors.values(), key=lambda t: t[0])
     return ordered, stats
-
-
-def _square_of_a(rows: list[list[Rational]], mults: tuple[int, ...]) -> Rational:
-    coeffs = (1,) + mults
-    return sum(
-        coeffs[i] * coeffs[j] * rows[i][j]
-        for i in range(len(coeffs))
-        for j in range(len(coeffs))
-    )
 
 
 def _check_budget(stats: EnumerationStats, b: SearchBounds) -> None:

@@ -202,7 +202,7 @@ def test_classify_unreadable_input_exit_two(tmp_path, capsys):
 def test_enumerate_writes_deterministic_artifacts(tmp_path, capsys, monkeypatch):
     args = [
         "enumerate", "--max-components", "2", "--entry-bound", "4",
-        "--square-min", "-4", "--even",
+        "--square-min", "-4",
     ]
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("HK_THREADS", "2")
@@ -339,7 +339,7 @@ def test_parser_is_built_once_and_parses_each_call_afresh():
 
     assert cli._parser() is cli._parser()
     base = ["enumerate", "--max-components", "1", "--entry-bound", "1", "--square-min", "-2"]
-    assert cli._parser().parse_args(base + ["--general", "--even"]).general
+    assert cli._parser().parse_args(base + ["--general"]).general
     assert not cli._parser().parse_args(base).general
 
 

@@ -5,7 +5,10 @@ import hashlib
 import importlib.util
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +18,7 @@ from fixdiv import embedding_oracle
 from fixdiv.embedding_oracle import (
     AMBIENT,
     DEFAULT_BOX,
+    MAX_BOX,
     EmbeddingOracle,
     _signed_perm_key,
     even_grams,
@@ -42,6 +46,7 @@ def ambient_pairing(u, v):
         [[-2]],
         [[0]],
         [[0, 2, 0], [2, -4, 2], [0, 2, -2]],  # chain Gram (k=1, d=-4, q_last=-2)
+        [[-2, 0, 0, 0], [0, -2, 0, 0], [0, 0, -2, 0], [0, 0, 0, 0]],  # degenerate
     ],
 )
 def test_search_returns_verified_witness(rows, oracle):
@@ -176,21 +181,23 @@ def test_independent_matches_fraction_rank():
     assert dependent > 800  # the dependent constructions are exercised
 
 
-def test_independent_batch_matches_fraction_rank():
-    # each batch pairs one prefix with the last two vectors of many sets of its
-    # length, so independent and dependent sets share a batch
+@pytest.mark.parametrize("box", [DEFAULT_BOX, MAX_BOX])
+def test_pair_minor_matrix_matches_fraction_rank(box):
+    # each prefix of 1-4 vectors is tested with the last two vectors of many
+    # sets of its length, so independent and dependent sets share a call
     by_length: dict = {}
-    for rows in random_vector_sets(seed=20251115, count=4000):
+    for rows in random_vector_sets(seed=20261022 + box, count=4000, box=box):
         if len(rows) >= 3:
             by_length.setdefault(len(rows), []).append(rows)
+    assert sorted(by_length) == [3, 4, 5, 6]
     mixed = 0
     for r, sets in sorted(by_length.items()):
         tails = sets[:300]
         last2 = np.array([t[-2] for t in tails], dtype=np.int32)
         last = np.array([t[-1] for t in tails], dtype=np.int32)
         for rows in sets[:12]:
-            prefix = [np.array(v, dtype=np.int32) for v in rows[:-2]]
-            got = EmbeddingOracle._independent_batch(prefix, last2, last).tolist()
+            w = embedding_oracle._pair_minor_matrix(rows[:-2])
+            got = embedding_oracle._pairs_independent(w, last2, last).tolist()
             want = [fraction_rank(rows[:-2] + t[-2:]) == r for t in tails]
             assert got == want, rows[:-2]
             mixed += 0 < sum(want) < len(want)
@@ -205,9 +212,10 @@ def test_independent_batch_matches_fraction_rank():
         [[0, 2, 0], [2, -4, 2], [0, 2, -2]],
     ],
 )
-def test_independent_batch_matches_scalar_on_every_hit(rows, oracle):
+def test_pair_minors_match_scalar_on_every_hit(rows, oracle):
     """Every hit (pair of last two vectors) that _extend_last_pair tests for a
-    rank-3 table, over every first vector, batched against the scalar test."""
+    rank-3 table, over every first vector, by the pair-minor kernel against
+    the scalar test."""
     gram = oracle._gram
     c1, c2 = oracle.by_square[rows[1][1]], oracle.by_square[rows[2][2]]
     checked = 0
@@ -218,11 +226,26 @@ def test_independent_batch_matches_scalar_on_every_hit(rows, oracle):
         hits = np.argwhere((a @ (gram @ b.T)) == rows[1][2])
         if len(hits) == 0:
             continue
-        got = EmbeddingOracle._independent_batch([v0], a[hits[:, 0]], b[hits[:, 1]])
+        w = embedding_oracle._pair_minor_matrix([v0])
+        got = embedding_oracle._pairs_independent(w, a[hits[:, 0]], b[hits[:, 1]])
         want = [EmbeddingOracle._independent([v0, a[i], b[j]]) for i, j in hits]
         assert got.tolist() == want
         checked += len(hits)
     assert checked > 200
+
+
+def scalar_last_pair(self, g, free, chosen, cands):
+    """_extend_last_pair as a plain loop: every hit in np.argwhere order,
+    each tested by _independent."""
+    last = len(g) - 1
+    c_last, columns, _ = self._view(g[last][last])
+    mask = self._pairing_mask(columns, chosen, g, last)
+    c_last, right = c_last[mask], columns[:, mask]
+    for i1, i2 in np.argwhere((cands @ right) == g[last - 1][last]):
+        witness = chosen + [cands[i1], c_last[i2]]
+        if self._independent(witness):
+            return witness
+    return None
 
 
 @pytest.mark.parametrize(
@@ -233,16 +256,21 @@ def test_independent_batch_matches_scalar_on_every_hit(rows, oracle):
         [[0, 2, 0], [2, -4, 2], [0, 2, -2]],
         [[-2, 1, 1], [1, -2, 1], [1, 1, -2]],
         [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, -2, 1], [0, 0, 1, -2]],
+        [[-2, -2, 0], [-2, -2, 0], [0, 0, 0]],
+        [[-2, 0, 0, 0], [0, -2, 0, 0], [0, 0, -2, 0], [0, 0, 0, 0]],
+        [[-2, 1, 0, 0], [1, -2, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
     ],
 )
-def test_batched_search_returns_the_scalar_witness(rows, oracle, monkeypatch):
-    """Checking hits in small batches from the first one finds the same
-    witness as checking every hit one at a time."""
-    monkeypatch.setattr(embedding_oracle, "SCALAR_HITS", 10**12)
-    scalar = oracle.search(rows)
-    monkeypatch.setattr(embedding_oracle, "SCALAR_HITS", 0)
-    monkeypatch.setattr(embedding_oracle, "HIT_BATCH", 7)
-    assert oracle.search(rows) == scalar
+def test_batched_search_returns_the_scalar_witness(rows, monkeypatch):
+    """Testing the hits of a search step in slices, by their pair minors,
+    finds the witness (or None) that testing every hit one at a time with
+    _independent finds."""
+    batched = EmbeddingOracle().search(rows)
+    # blocks of a few candidates and slices of 7 hits
+    monkeypatch.setattr(embedding_oracle, "PRODUCT_ENTRIES", 70)
+    assert EmbeddingOracle().search(rows) == batched
+    monkeypatch.setattr(EmbeddingOracle, "_extend_last_pair", scalar_last_pair)
+    assert EmbeddingOracle().search(rows) == batched
 
 
 def old_even_grams(rank, bound):
@@ -268,13 +296,6 @@ def old_even_grams(rank, bound):
 @pytest.mark.parametrize("rank", [1, 2, 3])
 def test_even_grams_matches_generate_and_deduplicate(rank, bound):
     assert list(even_grams(rank, bound)) == list(old_even_grams(rank, bound))
-
-
-def test_batched_ranks_keep_int64_exact():
-    # 2 * (5 * box**2) ** (2 * (r - 1)) < 2**63: rank 5 at the default box,
-    # rank 4 from box 7 on, where rank-5 hits are checked one at a time
-    assert EmbeddingOracle(box=DEFAULT_BOX)._batch_max_rank == 5
-    assert EmbeddingOracle(box=7)._batch_max_rank == 4
 
 
 # -- the search kernel: pinned output, shortcuts, views, inputs --------------------
@@ -363,24 +384,32 @@ def fraction_det(rows):
 
 
 def test_nondegenerate_matches_fraction_determinant():
-    degenerate = 0
+    degenerate = negative = 0
     for rows in random_tables(seed=20261022, count=600, max_rank=5):
-        want = fraction_det(rows) != 0
-        assert embedding_oracle._nondegenerate(rows) == want, rows
-        degenerate += not want
-    assert degenerate > 100
+        det = fraction_det(rows)
+        assert embedding_oracle._det(rows) == det, rows
+        degenerate += det == 0
+        negative += det < 0
+    assert degenerate > 100 and negative > 100
 
 
 def count_independence_tests(monkeypatch):
-    calls = {"_independent": 0, "_independent_batch": 0}
-    for name in calls:
-        fn = getattr(EmbeddingOracle, name)
+    """Counts calls of the scalar test and of the pair-minor kernel."""
+    calls = {"_independent": 0, "_pair_minor_matrix": 0, "_pairs_independent": 0}
 
-        def counted(*args, _fn=fn, _name=name):
-            calls[_name] += 1
-            return _fn(*args)
+    def counting(fn, name):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
 
-        monkeypatch.setattr(EmbeddingOracle, name, staticmethod(counted))
+        return counted
+
+    monkeypatch.setattr(
+        EmbeddingOracle, "_independent",
+        staticmethod(counting(EmbeddingOracle._independent, "_independent")),
+    )
+    for name in ("_pair_minor_matrix", "_pairs_independent"):
+        monkeypatch.setattr(embedding_oracle, name, counting(getattr(embedding_oracle, name), name))
     return calls
 
 
@@ -390,7 +419,7 @@ def test_nondegenerate_search_runs_no_independence_test(monkeypatch):
     rows = [[0, 2, 0], [2, -4, 2], [0, 2, -2]]  # chain Gram, det 8
     assert oracle.search(rows) is not None
     # the one call is the final witness check in _verify
-    assert calls == {"_independent": 1, "_independent_batch": 0}
+    assert calls == {"_independent": 1, "_pair_minor_matrix": 0, "_pairs_independent": 0}
 
 
 def test_degenerate_search_still_tests_independence(monkeypatch):
@@ -398,7 +427,9 @@ def test_degenerate_search_still_tests_independence(monkeypatch):
     oracle = EmbeddingOracle()
     # v1 = v0 realises the table with any v2 orthogonal to v0, dependently
     assert oracle.search([[-2, -2, 0], [-2, -2, 0], [0, 0, 0]]) is None
-    assert calls["_independent"] > 1 and calls["_independent_batch"] > 0
+    # every hit goes through the pair-minor kernel, none through _independent
+    assert calls["_independent"] == 0
+    assert calls["_pair_minor_matrix"] > 0 and calls["_pairs_independent"] > 0
 
 
 def test_search_view_drops_zero_but_by_square_keeps_it(oracle):
@@ -432,3 +463,21 @@ def test_compare_script_rejects_a_bad_box(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "box must be an integer from 1 to 10, got -1" in captured.err
+
+
+def test_search_checks_its_witness_under_python_O():
+    """The witness check is no assert: with assertions stripped, a witness
+    that does not realise the table still raises, naming the table."""
+    code = (
+        "from fixdiv.embedding_oracle import EmbeddingOracle\n"
+        "print(__debug__)\n"
+        "EmbeddingOracle._extend = lambda self, g, free, chosen: [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0)]\n"
+        "EmbeddingOracle(box=1).search([[0, 1], [1, -2]])\n"
+    )
+    src = Path(embedding_oracle.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
+    assert proc.stdout == "False\n"
+    assert proc.returncode == 1
+    assert "RuntimeError" in proc.stderr
+    assert "does not realise the table [[0, 1], [1, -2]]" in proc.stderr

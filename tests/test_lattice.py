@@ -16,7 +16,6 @@ from fixdiv.lattice import (
     MarkmanViolation,
     Signature,
     bk_shadow_member,
-    colinearity_witness,
     divisibility_multiplier,
     lorentzian_embeddable,
     pairing,
@@ -207,33 +206,6 @@ def test_embeddable_rejects_two_orthogonal_isotropic_classes():
 
 def test_embeddable_rejects_two_positive_directions():
     assert not lorentzian_embeddable(GramLattice.from_rows([[2, 0], [0, 2]]))
-
-
-# -- colinearity witness ---------------------------------------------------------
-
-
-def test_colinearity_integral_ratio():
-    g = GramLattice.from_rows([[0, 0], [0, -2]])
-    lam = colinearity_witness(g, DivisorClass((1, 0)), DivisorClass((3, 0)))
-    assert lam == 3
-
-
-def test_colinearity_rational_ratio():
-    g = GramLattice.from_rows([[0, 0], [0, -2]])
-    lam = colinearity_witness(g, DivisorClass((2, 0)), DivisorClass((1, 0)))
-    assert lam == Fraction(1, 2)
-
-
-def test_colinearity_inadmissible_pair_has_no_witness():
-    # two independent isotropic orthogonal classes cannot coexist in a
-    # Lorentzian Picard lattice; absence of lambda flags exactly that
-    g = GramLattice.from_rows([[0, 0], [0, 0]])
-    assert colinearity_witness(g, DivisorClass((1, 0)), DivisorClass((0, 1))) is None
-
-
-def test_colinearity_requires_isotropic_orthogonal_input():
-    with pytest.raises(LatticeError):
-        colinearity_witness(BM, DivisorClass((1, 0)), DivisorClass((0, 1)))
 
 
 # -- Markman divisibility --------------------------------------------------------

@@ -14,8 +14,6 @@ from fixdiv.rr import (
     RRError,
     RRPolynomial,
     h0_big_bk,
-    h0_equal_iff_q_equal,
-    hopf_lower_bound,
     lagrangian_h0,
     preset,
     validate,
@@ -128,28 +126,6 @@ def test_h0_big_bk_preconditions():
     with pytest.raises(InconsistentInputError):
         # integer value but not above chi(O) = n + 1
         h0_big_bk(RRPolynomial.from_coeffs(1, [1, Fraction(1, 2)]), 2)
-
-
-def test_h0_equal_iff_q_equal():
-    p = preset("k3n", 2)
-    assert h0_equal_iff_q_equal(p, 4, 4)
-    assert not h0_equal_iff_q_equal(p, 2, 4)
-    with pytest.raises(PreconditionError):
-        h0_equal_iff_q_equal(p, 0, 4)
-
-
-def test_h0_equal_detects_non_monotone_polynomial():
-    # eval collision without q collision must raise, not return False
-    flat = RRPolynomial(n=1, coeffs=(Fraction(2), Fraction(0)))
-    with pytest.raises(InconsistentInputError):
-        h0_equal_iff_q_equal(flat, 2, 4)
-
-
-def test_hopf_lower_bound():
-    assert hopf_lower_bound(2) == 3
-    assert hopf_lower_bound(6) == 11
-    with pytest.raises(PreconditionError):
-        hopf_lower_bound(1)
 
 
 @pytest.mark.parametrize(
